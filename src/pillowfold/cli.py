@@ -45,21 +45,7 @@ def _load_data(path: str | None) -> FundamentalData:
 
 
 def _load_schedule(name: str) -> DeformationSchedule:
-    if name == "linear":
-        return DeformationSchedule.linear()
-    if name == "cosine":
-        return DeformationSchedule.cosine()
-    desc = _read_json(name)
-    if "lambda" in desc:
-        lam = desc["lambda"]
-        if lam == "1-t":
-            return DeformationSchedule.linear()
-        if lam == "cos":
-            return DeformationSchedule.cosine()
-        mu = desc.get("mu")
-        return DeformationSchedule.from_table(
-            lam["t"], lam["values"],
-            mu["values"] if isinstance(mu, dict) else None)
+    desc = {"kind": name} if name in ("linear", "cosine") else _read_json(name)
     return DeformationSchedule.from_descriptor(desc)
 
 
@@ -194,6 +180,7 @@ def _structure_checks(data, schedule, t_values, n_s, eps, tols):
 
 
 def _box_topology_checks(data, n_s, n_v):
+    """Checks on the assembled box; returns (reports, topology, box)."""
     reports = []
     box = pillowbox.assemble_box(data, n_s, n_v)
     topo = verify.topology_report(box)
@@ -208,10 +195,12 @@ def _box_topology_checks(data, n_s, n_v):
     reports.append(verify.CheckReport(
         "box-volume-bounds", f"{n_s}x{n_v}", topo.volume, (0.0, bound),
         bound, ok))
-    return reports, topo
+    return reports, topo, box
 
 
 def _development_checks(data, n_s, n_v, tols):
+    """Checks on the flat state; returns (reports, development, pattern
+    graph, double rectangle)."""
     reports = []
     dev = development.developing_map(data)
     two_a = dev.width
@@ -240,7 +229,7 @@ def _development_checks(data, n_s, n_v, tols):
         "pattern-conditions", f"{pat.n_samples}",
         float(min(e["margin"] for e in pat.entries if e["gating"])),
         (0.0, 0.0), 0.0, pat.valid))
-    return reports
+    return reports, dev, psi, rect
 
 
 def _dual_metric_gap(strip, s, v):
@@ -296,8 +285,7 @@ def _cmd_validate(args) -> int:
 def _cmd_build(args) -> int:
     data = _load_data(args.input)
     n_s, n_v = args.grid
-    reports, topo = _box_topology_checks(data, n_s, n_v)
-    box = pillowbox.assemble_box(data, n_s, n_v)
+    reports, topo, box = _box_topology_checks(data, n_s, n_v)
     path = _artifact(args.out, "box.obj")
     if path:
         mesh.export_obj(box, path)
@@ -311,9 +299,7 @@ def _cmd_develop(args) -> int:
     data = _load_data(args.input)
     n_s, n_v = args.grid
     tols = args.tols
-    reports = _development_checks(data, n_s, n_v, tols)
-    dev = development.developing_map(data)
-    psi = development.pattern_graph(data)
+    reports, dev, psi, rect = _development_checks(data, n_s, n_v, tols)
     artifacts = []
     svg_path = _artifact(args.out, "pattern.svg")
     if svg_path:
@@ -325,8 +311,6 @@ def _cmd_develop(args) -> int:
         artifacts.append(svg_path)
     obj_path = _artifact(args.out, "double_rectangle.obj")
     if obj_path:
-        rect = development.double_rectangle_mesh(dev.width, 2.0 * data.b,
-                                                 max(n_s // 2, 2))
         mesh.export_obj(rect, obj_path)
         artifacts.append(obj_path)
     _emit({"width": dev.width, "height": 2.0 * data.b,
@@ -349,14 +333,14 @@ def _cmd_deform(args) -> int:
                "artifacts": [path] if path else []})
         return 0 if sched_report.valid else 1
     t = args.t
-    quarter = deformation.deformed_quarter(data, schedule, t)
+    lam = schedule.lam(t)
     m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
     topo = verify.topology_report(m)
     path = _artifact(args.out, f"deformed_t{_fmt_t(t)}.obj")
     if path:
         mesh.export_obj(m, path)
-    _emit({"t": t, "lam": quarter.lam, "mu": quarter.mu,
-           "depth": deformation.horizontal_end_depth(data, quarter.lam),
+    _emit({"t": t, "lam": lam, "mu": schedule.mu(t),
+           "depth": deformation.horizontal_end_depth(data, lam),
            "weld": m.weld_report, "topology": topo.to_dict(),
            "schedule": sched_report.to_dict(),
            "artifacts": [path] if path else []})
@@ -407,9 +391,8 @@ def _cmd_verify(args) -> int:
                                 n_s, n_half, eps, tols["flatness"])
     reports += _structure_checks(data, schedule, (0.0, 0.3, 0.7, 1.0),
                                  n_s, eps, tols)
-    box_reports, _ = _box_topology_checks(data, n_s, n_v)
-    reports += box_reports
-    reports += _development_checks(data, n_s, n_v, tols)
+    reports += _box_topology_checks(data, n_s, n_v)[0]
+    reports += _development_checks(data, n_s, n_v, tols)[0]
     reports += _obstruction_checks(data, schedule, n_s, n_v, tols)
     reports.append(_dichotomy_check(data, n_s, eps))
     payload = [r.to_dict() for r in reports]

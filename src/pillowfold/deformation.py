@@ -77,7 +77,9 @@ class DeformationSchedule:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "DeformationSchedule":
-        kind = desc.get("kind", "linear")
+        if not isinstance(desc, dict) or "kind" not in desc:
+            raise IoError("schedule descriptor needs a \"kind\"")
+        kind = desc["kind"]
         if kind == "linear":
             return cls.linear()
         if kind == "cosine":
@@ -244,22 +246,16 @@ def sweep_trace(data: FundamentalData, schedule: DeformationSchedule,
         lam = schedule.lam(float(t))
         mesh = assemble_deformed(data, schedule, float(t), n_s, n_v)
         closed = mesh.is_closed()
-        row = {
+        volume_valid = closed and mesh.orientation_consistent()
+        rows.append({
             "t": float(t),
             "lam": float(lam),
             "mu": float(schedule.mu(float(t))),
             "depth": horizontal_end_depth(data, lam),
-            "closed": bool(closed),
+            "closed": closed,
             "boundary_edges": mesh.boundary_edge_count(),
             "euler": mesh.euler_characteristic(),
-        }
-        if closed and mesh.orientation_consistent():
-            p = mesh.vertices[mesh.faces]
-            row["volume"] = float(np.einsum('ij,ij->', p[:, 0],
-                                            np.cross(p[:, 1], p[:, 2])) / 6.0)
-            row["volume_valid"] = True
-        else:
-            row["volume"] = 0.0
-            row["volume_valid"] = False
-        rows.append(row)
+            "volume": mesh.signed_volume() if volume_valid else 0.0,
+            "volume_valid": volume_valid,
+        })
     return rows

@@ -18,17 +18,22 @@ from .profiles import (FundamentalData, ProfileFunction, ValidationReport,
                        _MonotoneMap, safe_sqrt)
 
 
+def _developed_travel(data: FundamentalData) -> _MonotoneMap:
+    """s -> x(s) = int_0^s sqrt(1 - zeta'^2), the developed abscissa."""
+
+    def rate(s):
+        return safe_sqrt(1.0 - np.asarray(data.zeta.eval(s, 1)) ** 2)
+
+    return _MonotoneMap(rate, data.length)
+
+
 class PlanarDevelopment:
     """Development Y(s, v) = gamma(s) + v (0, -1, 0) of one quarter."""
 
     def __init__(self, data: FundamentalData):
         self.data = data
         self.length = data.length
-
-        def rate(s):
-            return safe_sqrt(1.0 - np.asarray(data.zeta.eval(s, 1)) ** 2)
-
-        self._travel = _MonotoneMap(rate, data.length)
+        self._travel = _developed_travel(data)
         self.width = self._travel.total      # = 2a
 
     def gamma(self, s) -> np.ndarray:
@@ -64,11 +69,7 @@ def pattern_graph(data: FundamentalData) -> ProfileFunction:
     from dx/ds = sqrt(1 - zeta'^2).
     """
     zeta = data.zeta
-
-    def rate(s):
-        return safe_sqrt(1.0 - np.asarray(zeta.eval(s, 1)) ** 2)
-
-    travel = _MonotoneMap(rate, data.length)
+    travel = _developed_travel(data)
 
     def evaluator(x, order):
         s = travel.inverse(x)

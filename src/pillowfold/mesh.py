@@ -25,11 +25,17 @@ _DEGENERATE_AREA_FACTOR = 1e-14
 
 @dataclass
 class TriMesh:
-    """Vertices (n, 3) float64 and triangles (m, 3) int64, 0-based."""
+    """Vertices (n, 3) float64 and triangles (m, 3) int64, 0-based.
+
+    The undirected edge table is computed on first use and kept; vertices and
+    faces are not reassigned after construction, so it cannot go stale.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
     weld_report: dict | None = field(default=None, compare=False)
+    _edge_table: tuple | None = field(default=None, init=False, compare=False,
+                                      repr=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -52,39 +58,58 @@ class TriMesh:
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.linalg.norm(span))
 
-    def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected edges (k, 2) with the number of incident triangles."""
+    def _edge_keys(self, undirected: bool) -> np.ndarray:
+        """Each face edge (i, j) as the int64 key i * n_vertices + j, with
+        i < j when undirected."""
         e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
                             self.faces[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0, return_counts=True)
+        if undirected:
+            e = np.sort(e, axis=1)
+        return e[:, 0] * self.n_vertices + e[:, 1]
+
+    def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected edges (k, 2), sorted, with the number of incident
+        triangles; read-only arrays computed once per mesh."""
+        if self._edge_table is None:
+            keys, counts = np.unique(self._edge_keys(undirected=True),
+                                     return_counts=True)
+            edges = np.stack(np.divmod(keys, self.n_vertices), axis=1)
+            edges.flags.writeable = counts.flags.writeable = False
+            self._edge_table = (edges, counts)
+        return self._edge_table
+
+    @property
+    def _edge_counts(self) -> np.ndarray:
+        """Triangles per edge. Reads the stored table without re-entering
+        edges_with_counts, so a profile of that method counts computations."""
+        return (self._edge_table or self.edges_with_counts())[1]
 
     def n_edges(self) -> int:
-        return int(self.edges_with_counts()[0].shape[0])
+        return int(self._edge_counts.size)
 
     def boundary_edge_count(self) -> int:
-        _, counts = self.edges_with_counts()
-        return int(np.count_nonzero(counts == 1))
+        return int(np.count_nonzero(self._edge_counts == 1))
 
     def nonmanifold_edge_count(self) -> int:
-        _, counts = self.edges_with_counts()
-        return int(np.count_nonzero(counts > 2))
+        return int(np.count_nonzero(self._edge_counts > 2))
 
     def is_closed(self) -> bool:
-        if not self.n_faces:
-            return False
-        _, counts = self.edges_with_counts()
-        return bool(np.all(counts == 2))
+        return bool(self.n_faces and np.all(self._edge_counts == 2))
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges() + self.n_faces
 
     def orientation_consistent(self) -> bool:
         """True when no directed edge is traversed twice in the same sense."""
-        d = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                            self.faces[:, [2, 0]]])
-        keys = d[:, 0].astype(np.int64) * self.n_vertices + d[:, 1]
+        keys = self._edge_keys(undirected=False)
         return bool(np.unique(keys).size == keys.size)
+
+    def signed_volume(self) -> float:
+        """Sum of det(p0, p1, p2) / 6 over the triangles: the enclosed volume
+        when the mesh is closed and consistently oriented."""
+        p = self.vertices[self.faces]
+        return float(np.einsum('ij,ij->', p[:, 0],
+                               np.cross(p[:, 1], p[:, 2])) / 6.0)
 
     def triangle_areas(self) -> np.ndarray:
         p = self.vertices[self.faces]
@@ -307,8 +332,7 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *,
     roots = np.fromiter((uf.find(i) for i in range(len(all_verts))),
                         dtype=np.int64, count=len(all_verts))
     unique_roots, new_ids = np.unique(roots, return_inverse=True)
-    mesh = TriMesh(all_verts[unique_roots], new_ids[all_faces])
-    mesh.weld_report = report
+    mesh = TriMesh(all_verts[unique_roots], new_ids[all_faces], weld_report=report)
     report["boundary_edge_count"] = mesh.boundary_edge_count()
     return mesh
 

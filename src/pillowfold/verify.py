@@ -173,8 +173,7 @@ def enclosed_volume(mesh: TriMesh) -> float:
             f"{mesh.nonmanifold_edge_count()} non-manifold edges")
     if not mesh.orientation_consistent():
         raise InconsistentOrientation("triangle windings disagree across an edge")
-    p = mesh.vertices[mesh.faces]
-    return float(np.einsum('ij,ij->', p[:, 0], np.cross(p[:, 1], p[:, 2])) / 6.0)
+    return mesh.signed_volume()
 
 
 def count_self_intersections(mesh: TriMesh) -> int:
@@ -184,19 +183,12 @@ def count_self_intersections(mesh: TriMesh) -> int:
 def topology_report(mesh: TriMesh, count_intersections: bool = True) -> TopologyReport:
     """Combinatorial and geometric summary of a welded mesh."""
     min_triangle_area_check(mesh)
-    edges, counts = mesh.edges_with_counts()
-    closed = bool(mesh.n_faces and np.all(counts == 2))
-    boundary = int(np.count_nonzero(counts == 1))
-    nonmanifold = int(np.count_nonzero(counts > 2))
+    closed = mesh.is_closed()
     inter = count_self_intersections(mesh) if count_intersections else 0
-    volume = 0.0
-    volume_valid = False
-    if closed and mesh.orientation_consistent():
-        p = mesh.vertices[mesh.faces]
-        volume = float(np.einsum('ij,ij->', p[:, 0],
-                                 np.cross(p[:, 1], p[:, 2])) / 6.0)
-        volume_valid = True
-    return TopologyReport(mesh.n_vertices, int(edges.shape[0]), mesh.n_faces,
-                          mesh.n_vertices - int(edges.shape[0]) + mesh.n_faces,
-                          closed, boundary, nonmanifold, inter, volume,
+    volume_valid = closed and mesh.orientation_consistent()
+    volume = mesh.signed_volume() if volume_valid else 0.0
+    return TopologyReport(mesh.n_vertices, mesh.n_edges(), mesh.n_faces,
+                          mesh.euler_characteristic(), closed,
+                          mesh.boundary_edge_count(),
+                          mesh.nonmanifold_edge_count(), inter, volume,
                           volume_valid)

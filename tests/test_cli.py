@@ -126,6 +126,11 @@ def test_deform_custom_schedule_file(capsys, tmp_path):
                              "--schedule", str(sched))
     assert rc == 0
     assert abs(payload["lam"] - np.cos(np.pi / 4.0)) < 1e-12
+    sched.write_text(json.dumps({"lambda": "cos"}))
+    rc, _, err = run_cli(capsys, "deform", "--t", "0.5", "--grid", "12x6",
+                         "--schedule", str(sched))
+    assert rc == 2
+    assert json.loads(err)["error"] == "IoError"
 
 
 def test_family_pattern_scaling(capsys):

@@ -38,8 +38,10 @@ def test_schedule_table_and_descriptors():
     assert abs(back.lam(0.25) - 0.7) < 1e-15
     assert DeformationSchedule.from_descriptor(
         {"kind": "linear"}).lam(0.3) == 0.7
-    with pytest.raises(IoError):
-        DeformationSchedule.from_descriptor({"kind": "spiral"})
+    # "kind" is required: without it no schedule is guessed
+    for desc in ({"kind": "spiral"}, {}, {"lambda": "cos"}):
+        with pytest.raises(IoError):
+            DeformationSchedule.from_descriptor(desc)
     with pytest.raises(IoError):
         DeformationSchedule(lambda t: 1.0 - t).descriptor()
     with pytest.raises(DomainError):

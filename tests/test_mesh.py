@@ -33,6 +33,33 @@ def test_trimesh_basics_on_cube():
         TriMesh(v, np.array([[0, 1, 99]]))
 
 
+def test_edge_table_on_open_cube_with_fin():
+    # the cube without its bottom face, plus a fin triangle on the edge 4-5:
+    # four + two boundary edges and one edge shared by three triangles
+    v, f = oc.unit_cube_mesh()
+    v = np.vstack([v, [0.5, -0.5, 1.5]])
+    f = np.vstack([f[2:], [[4, 5, 8]]])
+    m = TriMesh(v, f)
+    expected = {}
+    for tri in f.tolist():
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            key = (min(a, b), max(a, b))
+            expected[key] = expected.get(key, 0) + 1
+    edges, counts = m.edges_with_counts()
+    assert [tuple(e) for e in edges.tolist()] == sorted(expected)
+    assert counts.tolist() == [expected[k] for k in sorted(expected)]
+    assert m.n_edges() == len(expected) == 19
+    assert m.boundary_edge_count() == sum(
+        c == 1 for c in expected.values()) == 6
+    assert m.nonmanifold_edge_count() == sum(
+        c > 2 for c in expected.values()) == 1
+    assert not m.is_closed()
+    assert m.euler_characteristic() == len(v) - len(expected) + len(f) == 1
+    # computed once: every query reads the same read-only arrays
+    assert m.edges_with_counts()[0] is edges
+    assert not edges.flags.writeable and not counts.flags.writeable
+
+
 def test_quarter_grid_v_rows():
     z = np.array([0.0, 0.4, 0.0])
     vmat = quarter_grid_v(z, 1.0, 2, 2)
