@@ -63,12 +63,19 @@ class DeformationSchedule:
 
     @classmethod
     def from_table(cls, t_knots, lam_values, mu_values=None) -> "DeformationSchedule":
-        t_knots = np.asarray(t_knots, dtype=float)
-        lam_values = np.asarray(lam_values, dtype=float)
+        try:
+            t_knots = np.asarray(t_knots, dtype=float)
+            lam_values = np.asarray(lam_values, dtype=float)
+            mu_values = (np.zeros_like(t_knots) if mu_values is None
+                         else np.asarray(mu_values, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"table schedule values must be numbers: {exc}") from exc
+        if t_knots.ndim != 1 or t_knots.size < 2:
+            raise DomainError("a table schedule needs at least 2 t values")
+        if lam_values.shape != t_knots.shape or mu_values.shape != t_knots.shape:
+            raise DomainError("table lam and mu need one value per t value")
         if np.any(np.diff(t_knots) <= 0):
             raise DomainError("table t values must be strictly increasing")
-        mu_values = (np.zeros_like(t_knots) if mu_values is None
-                     else np.asarray(mu_values, dtype=float))
         params = {"t": t_knots.tolist(), "lam": lam_values.tolist(),
                   "mu": mu_values.tolist()}
         return cls(lambda t: np.interp(t, t_knots, lam_values),
@@ -85,6 +92,9 @@ class DeformationSchedule:
         if kind == "cosine":
             return cls.cosine()
         if kind == "table":
+            missing = [k for k in ("t", "lam") if k not in desc]
+            if missing:
+                raise IoError(f"table schedule lacks {', '.join(missing)}")
             return cls.from_table(desc["t"], desc["lam"], desc.get("mu"))
         raise IoError(f"unknown schedule kind {kind!r}")
 

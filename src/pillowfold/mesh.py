@@ -338,74 +338,103 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *,
 
 
 # ---------------------------------------------------------------------------
-# Self-intersection (spatial-hash broad phase, Moller interval narrow phase)
+# Self-intersection (BVH broad phase, Moller interval narrow phase)
 # ---------------------------------------------------------------------------
+
+_NARROW_CHUNK = 1 << 16    # face pairs per narrow-phase batch, bounds memory
+
+
+def _spread_bits(q: np.ndarray) -> np.ndarray:
+    """Interleave two zero bits after each of the low 10 bits of q."""
+    q = q & 0x3FF
+    q = (q | (q << 16)) & 0x030000FF
+    q = (q | (q << 8)) & 0x0300F00F
+    q = (q | (q << 4)) & 0x030C30C3
+    return (q | (q << 2)) & 0x09249249
+
+
+def _bvh_levels(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Implicit binary BVH over boxes [lo, hi]: (order, levels).
+
+    Leaves are the boxes sorted by the Morton code of their centres and
+    padded to a power of two with empty boxes (lo = +inf, hi = -inf), which
+    overlap nothing.  levels[k] = (lo_k, hi_k), each (3, 2^k), holds the
+    nodes of depth k by axis; node a of depth k has children 2a and 2a + 1
+    at depth k + 1, and order maps leaf positions back to box indices.
+    """
+    n = len(lo)
+    c = 0.5 * (lo + hi)
+    c_lo = c.min(axis=0)
+    span = c.max(axis=0) - c_lo
+    # 10 bits per axis over the centres' bounding box; the quotient is in
+    # [0, 1] exactly, since span is the same difference rounded the same way
+    q = np.floor((c - c_lo) / np.where(span > 0, span, 1.0) * 0x3FF)
+    q = q.astype(np.int64)
+    code = (_spread_bits(q[:, 0]) << 2) | (_spread_bits(q[:, 1]) << 1) \
+        | _spread_bits(q[:, 2])
+    order = np.argsort(code, kind="stable")
+    size = 1 << (n - 1).bit_length()
+    node_lo = np.full((3, size), np.inf)
+    node_hi = np.full((3, size), -np.inf)
+    node_lo[:, :n] = lo[order].T
+    node_hi[:, :n] = hi[order].T
+    levels = [(node_lo, node_hi)]
+    while node_lo.shape[1] > 1:
+        node_lo = np.minimum(node_lo[:, 0::2], node_lo[:, 1::2])
+        node_hi = np.maximum(node_hi[:, 0::2], node_hi[:, 1::2])
+        levels.append((node_lo, node_hi))
+    return order, levels[::-1]
+
+
+def _overlapping_box_pairs(lo: np.ndarray, hi: np.ndarray,
+                           eps: float) -> tuple:
+    """All index pairs i < j whose boxes overlap within eps on every axis,
+    found by expanding overlapping node pairs of a BVH level by level."""
+    # lo[i] <= hi[j] + eps, with eps folded into hi once; rounding is
+    # monotone, so parent boxes of the shifted leaves still bound them
+    order, levels = _bvh_levels(lo, hi + eps)
+    a = b = np.zeros(1, dtype=np.int64)
+    for node_lo, node_hi in levels[1:]:
+        # the child pairs of (a, b); a <= b drops (2a + 1, 2a) when a == b,
+        # the mirror of (2a, 2a + 1)
+        a = (2 * a[:, None] + [0, 0, 1, 1]).ravel()
+        b = (2 * b[:, None] + [0, 1, 0, 1]).ravel()
+        up = a <= b
+        a, b = a[up], b[up]
+        keep = np.ones(len(a), dtype=bool)
+        for axis_lo, axis_hi in zip(node_lo, node_hi):
+            keep &= (axis_lo[a] <= axis_hi[b]) & (axis_lo[b] <= axis_hi[a])
+        a, b = a[keep], b[keep]
+    distinct = a != b
+    i, j = order[a[distinct]], order[b[distinct]]
+    return np.minimum(i, j), np.maximum(i, j)
+
 
 def self_intersection_pairs(mesh: TriMesh,
                             contact_tol_factor: float = _CONTACT_FACTOR) -> list:
-    """Transversally intersecting triangle pairs, excluding pairs that share a
-    vertex and contacts within the seam tolerance (tangential touches and
-    coplanar overlaps do not count)."""
-    nf = mesh.n_faces
-    if nf < 2:
+    """Transversally intersecting triangle pairs (i, j), i < j, sorted,
+    excluding pairs that share a vertex and contacts within the seam
+    tolerance (tangential touches and coplanar overlaps do not count).
+
+    Broad phase: every pair whose bounding boxes overlap within the
+    tolerance, from a BVH traversal; narrow phase: Moller's interval test
+    in fixed-size batches."""
+    if mesh.n_faces < 2:
         return []
     P = mesh.vertices[mesh.faces]          # (F, 3, 3)
-    lo = P.min(axis=1)
-    hi = P.max(axis=1)
-    diag = mesh.diagonal()
-    eps = contact_tol_factor * max(diag, 1e-300)
-
-    extents = hi - lo
-    cell = float(np.median(extents.max(axis=1))) * 2.0
-    if cell <= 0:
-        cell = max(diag, 1.0) / 16.0
-    ilo = np.floor(lo / cell).astype(np.int64)
-    ihi = np.floor(hi / cell).astype(np.int64)
-
-    buckets: dict[tuple, list] = {}
-    for t in range(nf):
-        x0, y0, z0 = ilo[t]
-        x1, y1, z1 = ihi[t]
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                for cz in range(z0, z1 + 1):
-                    buckets.setdefault((cx, cy, cz), []).append(t)
-
-    pair_keys = set()
-    for ids in buckets.values():
-        k = len(ids)
-        if k < 2:
-            continue
-        for a in range(k - 1):
-            ta = ids[a]
-            for bb in range(a + 1, k):
-                tb = ids[bb]
-                pair_keys.add(ta * nf + tb if ta < tb else tb * nf + ta)
-    if not pair_keys:
-        return []
-    keys = np.fromiter(pair_keys, dtype=np.int64, count=len(pair_keys))
-    keys.sort()
-    i = keys // nf
-    j = keys % nf
-
-    # drop pairs sharing any vertex index
-    fi, fj = mesh.faces[i], mesh.faces[j]
-    shares = np.zeros(len(i), dtype=bool)
-    for a in range(3):
-        for bb in range(3):
-            shares |= fi[:, a] == fj[:, bb]
-    i, j = i[~shares], j[~shares]
-    if not len(i):
-        return []
-
-    # AABB overlap filter
-    ok = np.all((lo[i] <= hi[j] + eps) & (lo[j] <= hi[i] + eps), axis=1)
-    i, j = i[ok], j[ok]
-    if not len(i):
-        return []
-
-    mask = _tri_tri_batch(P[i], P[j], eps)
-    return sorted(zip(i[mask].tolist(), j[mask].tolist()))
+    eps = contact_tol_factor * max(mesh.diagonal(), 1e-300)
+    i_all, j_all = _overlapping_box_pairs(P.min(axis=1), P.max(axis=1), eps)
+    hits = []
+    for start in range(0, len(i_all), _NARROW_CHUNK):
+        i = i_all[start:start + _NARROW_CHUNK]
+        j = j_all[start:start + _NARROW_CHUNK]
+        # drop pairs sharing any vertex index
+        fi, fj = mesh.faces[i], mesh.faces[j]
+        shares = np.any(fi[:, :, None] == fj[:, None, :], axis=(1, 2))
+        i, j = i[~shares], j[~shares]
+        mask = _tri_tri_batch(P[i], P[j], eps)
+        hits += zip(i[mask].tolist(), j[mask].tolist())
+    return sorted(hits)
 
 
 def _plane_side(T_other: np.ndarray, origin: np.ndarray, normal: np.ndarray,
@@ -492,10 +521,10 @@ def export_obj(mesh: TriMesh, path) -> None:
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("# pillowfold triangle mesh\n")
-            for v in mesh.vertices:
-                fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+            fh.write("".join(f"v {x:.9g} {y:.9g} {z:.9g}\n"
+                             for x, y, z in mesh.vertices.tolist()))
+            fh.write("".join(f"f {a} {b} {c}\n"
+                             for a, b, c in (mesh.faces + 1).tolist()))
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (DomainError, IoError, NonFiniteEvaluation, NonMonotone)
 from .quadrature import cumulative_integral, gauss_segments, integrate_segments
@@ -144,6 +143,9 @@ class ProfileFunction:
             raise NonMonotone("knot abscissae must be strictly increasing")
         if s_knots[0] != 0.0:
             raise DomainError("knots must start at 0")
+        # imported here: scipy.interpolate costs most of the package's
+        # import time, and only tabulated profiles need it
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(s_knots, values)
 
         def evaluator(s, order):

@@ -4,12 +4,16 @@ Everything here is computed without the library's own quadrature or
 differentiation: composite Simpson on fixed grids, plain finite differences,
 and closed forms.  The frozen constants were produced by these same oracles
 (cross-checked at much higher resolution) before the library existed; tests
-compare library output against them, never the other way round.
+compare library output against them, never the other way round.  The one
+exception is the intersection oracle, which reuses the library's
+triangle-pair test but none of its candidate search: it tries every pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pillowfold.mesh import _tri_tri_batch
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -97,3 +101,17 @@ def unit_cube_mesh():
         [3, 0, 4], [3, 4, 7],      # x = 0
     ], dtype=np.int64)
     return v, f
+
+
+def brute_force_intersections(mesh, contact_tol_factor: float) -> list:
+    """Intersecting triangle pairs (i, j), i < j, sorted: the narrow-phase
+    test on every pair that shares no vertex, with no broad phase.  O(F^2),
+    for small meshes."""
+    i, j = np.triu_indices(mesh.n_faces, 1)
+    fi, fj = mesh.faces[i], mesh.faces[j]
+    shares = np.any(fi[:, :, None] == fj[:, None, :], axis=(1, 2))
+    i, j = i[~shares], j[~shares]
+    P = mesh.vertices[mesh.faces]
+    eps = contact_tol_factor * max(mesh.diagonal(), 1e-300)
+    hit = _tri_tri_batch(P[i], P[j], eps)
+    return sorted(zip(i[hit].tolist(), j[hit].tolist()))

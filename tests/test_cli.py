@@ -133,6 +133,18 @@ def test_deform_custom_schedule_file(capsys, tmp_path):
     assert json.loads(err)["error"] == "IoError"
 
 
+def test_deform_malformed_table_schedule_exits_2(capsys, tmp_path):
+    sched = tmp_path / "sched.json"
+    for desc, error in (({"kind": "table", "t": [0, 1]}, "IoError"),
+                        ({"kind": "table", "t": [0, 1], "lam": [1]},
+                         "DomainError")):
+        sched.write_text(json.dumps(desc))
+        rc, _, err = run_cli(capsys, "deform", "--t", "0.5", "--grid", "12x6",
+                             "--schedule", str(sched))
+        assert rc == 2
+        assert json.loads(err)["error"] == error
+
+
 def test_family_pattern_scaling(capsys):
     rc, payload, _ = run_cli(capsys, "family", "--pattern-scaling",
                              "--grid", "16x8")

@@ -46,6 +46,18 @@ def test_schedule_table_and_descriptors():
         DeformationSchedule(lambda t: 1.0 - t).descriptor()
     with pytest.raises(DomainError):
         DeformationSchedule.from_table([0.0, 0.0, 1.0], [1.0, 0.5, 0.0])
+    # a table needs t and lam, one lam (and mu) per t, and at least 2 knots
+    for desc in ({"kind": "table", "t": [0, 1]},
+                 {"kind": "table", "lam": [1, 0]}):
+        with pytest.raises(IoError):
+            DeformationSchedule.from_descriptor(desc)
+    for desc in ({"kind": "table", "t": [0, 0.5, 1], "lam": [1, 0]},
+                 {"kind": "table", "t": [0, 1], "lam": [1, 0], "mu": [0]},
+                 {"kind": "table", "t": [0], "lam": [1]},
+                 {"kind": "table", "t": 0.5, "lam": 1},
+                 {"kind": "table", "t": [0, "x"], "lam": [1, 0]}):
+        with pytest.raises(DomainError):
+            DeformationSchedule.from_descriptor(desc)
 
 
 def test_validate_schedule_demo():

@@ -5,10 +5,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pillowfold.deformation import DeformationSchedule, assemble_deformed
 from pillowfold.errors import DegenerateTriangle, GridTooCoarse
-from pillowfold.mesh import (TriMesh, export_obj, export_svg, export_trace,
-                             load_obj, min_triangle_area_check, quarter_grid_v,
+from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _overlapping_box_pairs,
+                             export_obj, export_svg, export_trace, load_obj,
+                             min_triangle_area_check, quarter_grid_v,
                              sample_and_triangulate, self_intersection_pairs)
 from pillowfold.pillowbox import assemble_box, quarter_parametrization
 from pillowfold.profiles import FundamentalData, ProfileFunction
@@ -109,6 +112,12 @@ def test_min_area_check_rejects_sliver():
         min_triangle_area_check(TriMesh(verts, np.array([[0, 1, 2], [0, 1, 3]])))
 
 
+def _pairs_checked_by_oracle(mesh: TriMesh) -> list:
+    pairs = self_intersection_pairs(mesh)
+    assert pairs == oc.brute_force_intersections(mesh, _CONTACT_FACTOR)
+    return pairs
+
+
 def test_self_intersection_pairs_examples():
     # a triangle piercing another: one offending pair
     verts = np.array([
@@ -117,10 +126,91 @@ def test_self_intersection_pairs_examples():
         [0.1, 0.1, 0.0], [1.9, 0.1, 0.0], [0.1, 1.9, 0.0],
     ])
     pierced = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
-    assert self_intersection_pairs(pierced) == [(0, 1)]
+    assert _pairs_checked_by_oracle(pierced) == [(0, 1)]
     # coplanar overlap is tangential contact, not an intersection
     coplanar = TriMesh(verts, np.array([[0, 1, 2], [6, 7, 8]]))
-    assert self_intersection_pairs(coplanar) == []
+    assert _pairs_checked_by_oracle(coplanar) == []
+    # a triangle and its mirror image in z = 0, their common edge split to
+    # z = -3e-10 and +3e-10 by rounding: the boxes overlap only within the
+    # contact tolerance, across z = 0, and the narrow phase counts the edge
+    mirrored = np.array([[0.0, 0.0, -3e-10], [1.0, 0.0, -3e-10],
+                         [0.0, 0.5, -1.0]])
+    mirrored = np.vstack([mirrored, mirrored * [1.0, 1.0, -1.0]])
+    assert _pairs_checked_by_oracle(
+        TriMesh(mirrored, np.array([[0, 1, 2], [3, 4, 5]]))) == [(0, 1)]
+    # a closed cube: neighbours share a vertex, the other faces are apart
+    assert _pairs_checked_by_oracle(TriMesh(*oc.unit_cube_mesh())) == []
+    # one face: nothing to pair
+    assert _pairs_checked_by_oracle(TriMesh(verts, np.array([[0, 1, 2]]))) == []
+
+
+def test_self_intersection_pairs_past_a_power_of_two():
+    # 16 triangles of a 4x2 grid in z = 0 and one long triangle across them:
+    # 2^4 + 1 faces, so the broad phase pads to 32 leaves
+    x, y = np.meshgrid(np.arange(5.0), np.arange(3.0))
+    grid = np.stack([x.ravel(), y.ravel(), np.zeros(15)], axis=1)
+    quads = [(5 * r + c, 5 * r + c + 1, 5 * r + c + 6, 5 * r + c + 5)
+             for r in range(2) for c in range(4)]
+    faces = [f for a, b, c, d in quads for f in ((a, b, c), (a, c, d))]
+    verts = np.vstack([grid, [[0.3, 0.4, -1.0], [3.7, 0.6, 1.0],
+                              [0.3, 1.6, 1.0]]])
+    mesh = TriMesh(verts, np.array(faces + [[15, 16, 17]]))
+    pairs = _pairs_checked_by_oracle(mesh)
+    assert len(pairs) >= 4 and all(j == 16 for _, j in pairs)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_self_intersection_pairs_of_deformed_demo(t):
+    mesh = assemble_deformed(FundamentalData.demo(),
+                             DeformationSchedule.linear(), t, 8, 4)
+    pairs = _pairs_checked_by_oracle(mesh)
+    # the corollary: only the open states between the ends self-intersect
+    assert bool(pairs) == (0.0 < t < 1.0)
+
+
+_LATTICE = st.integers(-3, 3).map(float)
+_NUDGES = (3e-10, 3e-9, 3e-8)   # about the contact tolerance, 1e-9 x diagonal
+
+
+@st.composite
+def triangle_soups(draw) -> TriMesh:
+    """2 to 40 triangles over a small vertex pool on a lattice whose z takes
+    three values, so faces share vertices and lie exactly coplanar; some
+    pool vertices get a copy nudged by about the contact tolerance."""
+    n_pool = draw(st.integers(3, 12))
+    pool = draw(st.lists(st.tuples(_LATTICE, _LATTICE,
+                                   st.integers(-1, 1).map(float)),
+                         min_size=n_pool, max_size=n_pool))
+    verts = np.array(pool)
+    nudged = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                     st.integers(0, 2),
+                                     st.sampled_from(_NUDGES + tuple(
+                                         -d for d in _NUDGES))),
+                           max_size=6))
+    for k, axis, delta in nudged:
+        v = verts[k].copy()
+        v[axis] += delta
+        verts = np.vstack([verts, v])
+    index = st.integers(0, len(verts) - 1)
+    n_faces = draw(st.integers(2, 40))
+    faces = draw(st.lists(st.lists(index, min_size=3, max_size=3, unique=True),
+                          min_size=n_faces, max_size=n_faces))
+    return TriMesh(verts, np.array(faces))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(triangle_soups())
+def test_self_intersection_pairs_match_oracle_on_soups(mesh):
+    _pairs_checked_by_oracle(mesh)
+    # the broad phase yields exactly the box pairs that overlap within eps
+    P = mesh.vertices[mesh.faces]
+    lo, hi = P.min(axis=1), P.max(axis=1)
+    eps = _CONTACT_FACTOR * mesh.diagonal()
+    i, j = np.triu_indices(mesh.n_faces, 1)
+    near = np.all((lo[i] <= hi[j] + eps) & (lo[j] <= hi[i] + eps), axis=1)
+    found = _overlapping_box_pairs(lo, hi, eps)
+    assert sorted(zip(*(k.tolist() for k in found))) == list(
+        zip(i[near].tolist(), j[near].tolist()))
 
 
 def test_box_mesh_statistics():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,17 @@ def test_tabulated_profile_approximates_samples():
         ProfileFunction.tabulated([0.0, 1.0, 0.5, 2.0], [0.0, 1.0, 1.0, 0.0])
     with pytest.raises(DomainError):
         ProfileFunction.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only tabulated profiles need scipy.interpolate, so the package does
+    # not pay for it at import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pillowfold; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_scaled_profile():
