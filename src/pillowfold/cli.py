@@ -58,6 +58,14 @@ def _parse_grid(text: str) -> tuple[int, int]:
             f"grid must look like 48x24, got {text!r}") from exc
 
 
+def _parse_numbers(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from exc
+
+
 def _parse_tol(pairs, parser) -> dict:
     tols = dict(_TOL_DEFAULTS)
     for item in pairs or []:
@@ -67,7 +75,10 @@ def _parse_tol(pairs, parser) -> dict:
         if name not in tols:
             parser.error(f"unknown tolerance {name!r}; "
                          f"known: {', '.join(sorted(tols))}")
-        tols[name] = float(value)
+        try:
+            tols[name] = float(value)
+        except ValueError:
+            parser.error(f"--tol {name} expects a number, got {value!r}")
     return tols
 
 
@@ -350,12 +361,11 @@ def _cmd_deform(args) -> int:
 def _cmd_family(args) -> int:
     data = _load_data(args.input)
     n_s, n_v = args.grid
-    t_values = [float(x) for x in args.t_values.split(",")]
     base_width = 2.0 * data.half_width()
     rows = []
     ok = True
     artifacts = []
-    for t in t_values:
+    for t in args.t_values:
         member = deformation.pattern_scaling_family(data, t)
         box = pillowbox.assemble_box(member, n_s, n_v)
         topo = verify.topology_report(box)
@@ -447,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="pattern-scaling family of boxes")
     common(p)
     p.add_argument("--pattern-scaling", action="store_true", required=True)
-    p.add_argument("--t-values", default="0,0.25,0.5,0.75,0.95")
+    p.add_argument("--t-values", type=_parse_numbers,
+                   default="0,0.25,0.5,0.75,0.95")
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="full certification battery")
@@ -462,6 +473,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.tols = _parse_tol(getattr(args, "tol", None), parser)
+    if args.command == "validate" and args.samples < 1:
+        parser.error("--samples must be >= 1")
     if args.command == "deform":
         if (args.t is None) == (args.sweep is None):
             parser.error("deform needs exactly one of --t or --sweep")

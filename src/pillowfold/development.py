@@ -130,40 +130,23 @@ def double_rectangle_mesh(width: float, height: float, n: int) -> TriMesh:
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     sheet = np.stack([gx, gy, np.zeros_like(gx)], axis=-1).reshape(-1, 3)
 
-    def vid(i, j):
-        return i * (n + 1) + j
+    # the second sheet shares the boundary vertices of the first and copies
+    # its interior ones, numbered after it in the same order
+    ids = np.arange(len(sheet)).reshape(n + 1, n + 1)
+    interior = np.zeros(ids.shape, dtype=bool)
+    interior[1:-1, 1:-1] = True
+    ids2 = ids.copy()
+    ids2[interior] = ids.size + np.arange(np.count_nonzero(interior))
+    vertices = np.concatenate([sheet, sheet[interior.ravel()]])
 
-    n_sheet = (n + 1) ** 2
-    interior_ids = {}
-    verts = [sheet]
-    extra = []
-    next_id = n_sheet
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if 0 < i < n and 0 < j < n:
-                interior_ids[(i, j)] = next_id
-                extra.append(sheet[vid(i, j)])
-                next_id += 1
-
-    def vid2(i, j):
-        return interior_ids.get((i, j), vid(i, j))
-
-    if extra:
-        verts.append(np.asarray(extra))
-    vertices = np.concatenate(verts)
+    def corners(v):
+        """Cell (i, j) corners (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)."""
+        return v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
 
     # The sheets use opposite diagonals; otherwise the two corner cells whose
     # diagonal endpoints are both boundary vertices would share that edge
     # between four triangles.
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a, bb = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append((a, bb, c))
-            faces.append((a, c, d))
-            a, bb = vid2(i, j), vid2(i + 1, j)
-            c, d = vid2(i + 1, j + 1), vid2(i, j + 1)
-            faces.append((a, d, bb))
-            faces.append((bb, d, c))
-    return TriMesh(vertices, np.asarray(faces, dtype=np.int64))
+    a, bb, c, d = corners(ids)
+    a2, b2, c2, d2 = corners(ids2)
+    faces = np.array([[a, bb, c], [a, c, d], [a2, d2, b2], [b2, d2, c2]])
+    return TriMesh(vertices, faces.transpose(2, 3, 0, 1).reshape(-1, 3))

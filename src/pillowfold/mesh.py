@@ -133,43 +133,30 @@ def quarter_grid_v(zeta_values: np.ndarray, b: float, n_lower: int,
     exactly v = 0 so the crease is a mesh polyline.
     """
     z = np.asarray(zeta_values, dtype=float)
-    lower = [(z - b) * (1.0 - j / n_lower) for j in range(n_lower)]
-    upper = [z * (j / n_upper) for j in range(n_upper + 1)]
-    return np.stack(lower + upper, axis=0)
+    lower = np.multiply.outer(1.0 - np.arange(n_lower) / n_lower, z - b)
+    upper = np.multiply.outer(np.arange(n_upper + 1) / n_upper, z)
+    return np.concatenate([lower, upper])
 
 
 def _grid_indices(points: np.ndarray, snap_tol: float):
     """Assign vertex ids over a (rows, cols, 3) grid, merging vertically
-    coincident neighbours (collapsed corner columns)."""
-    rows, cols, _ = points.shape
-    idx = np.full((rows, cols), -1, dtype=np.int64)
-    verts: list[np.ndarray] = []
-    for i in range(cols):
-        for j in range(rows):
-            if j > 0 and np.linalg.norm(points[j, i] - points[j - 1, i]) <= snap_tol:
-                idx[j, i] = idx[j - 1, i]
-            else:
-                idx[j, i] = len(verts)
-                verts.append(points[j, i])
-    return np.asarray(verts), idx
+    coincident neighbours (collapsed corner columns).  Ids run up each
+    column in turn."""
+    new = np.ones(points.shape[:2], dtype=bool)
+    new[1:] = np.linalg.norm(np.diff(points, axis=0), axis=-1) > snap_tol
+    idx = np.cumsum(new.T, dtype=np.int64).reshape(new.T.shape).T - 1
+    return points.transpose(1, 0, 2)[new.T], idx
 
 
 def _grid_faces(idx: np.ndarray, crease_row: int) -> np.ndarray:
-    """Triangulate the quad grid, diagonal split toward the crease row."""
-    rows, cols = idx.shape
-    tris = []
-    for j in range(rows - 1):
-        for i in range(cols - 1):
-            a, bb = idx[j, i], idx[j, i + 1]
-            d, c = idx[j + 1, i], idx[j + 1, i + 1]
-            if j >= crease_row:
-                cand = ((a, d, c), (a, c, bb))
-            else:
-                cand = ((a, d, bb), (bb, d, c))
-            for t in cand:
-                if t[0] != t[1] and t[1] != t[2] and t[2] != t[0]:
-                    tris.append(t)
-    return np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    """Triangulate the quad grid, diagonal split toward the crease row; the
+    triangles that a collapsed column makes degenerate are dropped."""
+    a, bb = idx[:-1, :-1], idx[:-1, 1:]
+    d, c = idx[1:, :-1], idx[1:, 1:]
+    above = (np.arange(len(idx) - 1) >= crease_row)[:, None]
+    tris = np.where(above, [[a, d, c], [a, c, bb]], [[a, d, bb], [bb, d, c]])
+    tris = tris.transpose(2, 3, 0, 1).reshape(-1, 3)
+    return tris[np.all(tris != np.roll(tris, 1, axis=1), axis=1)]
 
 
 def sample_quarter(X, s_values: np.ndarray, zeta_values: np.ndarray, b: float,
@@ -218,23 +205,11 @@ def _snapped_zeta(data, s_values: np.ndarray, bc_tol: float = 1e-9) -> np.ndarra
 # Reflected assembly with structured welding
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
+# Piece k of the box is the quarter with its coordinates multiplied by
+# _PIECE_SIGNS[k], and y moved up by 2b where it flips: piece 1 is the rho_V
+# image, piece 2 the rho_H image, piece 3 both.
+_PIECE_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
+                         [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
 
 
 def assemble_reflected(X, data, n_s: int, n_v: int, *,
@@ -246,93 +221,62 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *,
     boundaries: vertical-end rows between a piece and its rho_V image (always
     coincident), the s-endpoint columns and horizontal-end rows between a
     piece and its rho_H image (coincident only when the horizontal end lies in
-    z = 0).  Welds outside tolerance are left open; with
-    require_horizontal_weld they raise WeldFailure instead.
+    z = 0).  Each vertex pair within tolerance is welded; a correspondence
+    with any pair outside it is reported open, or, when required, raises
+    WeldFailure.  The weld report gives each correspondence's status and
+    worst gap, and the tolerance.
     """
     if n_s < 2 or n_v < 2:
         raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
-    b = data.b
     s_values = np.linspace(0.0, data.length, n_s + 1)
     zeta_values = _snapped_zeta(data, s_values)
     n_lower = n_v // 2
     n_upper = n_v - n_lower
-    verts0, idx, faces0, _ = sample_quarter(X, s_values, zeta_values, b,
+    verts0, idx, faces0, _ = sample_quarter(X, s_values, zeta_values, data.b,
                                             n_lower, n_upper)
 
-    def rho_v(p):
-        q = p.copy()
-        q[:, 1] = 2.0 * b - q[:, 1]
-        return q
-
-    def rho_h(p):
-        q = p.copy()
-        q[:, 2] = -q[:, 2]
-        return q
-
-    piece_verts = [verts0, rho_v(verts0), rho_h(verts0), rho_h(rho_v(verts0))]
-    flip = [False, True, True, False]
-
-    nv_local = len(verts0)
-    offsets = [k * nv_local for k in range(4)]
-    all_verts = np.concatenate(piece_verts)
-    all_faces = []
-    for k in range(4):
-        f = faces0 + offsets[k]
-        if flip[k]:
-            f = f[:, [0, 2, 1]]
-        all_faces.append(f)
-    all_faces = np.concatenate(all_faces)
+    n_local = len(verts0)
+    pieces = verts0 * _PIECE_SIGNS[:, None, :]
+    pieces[_PIECE_SIGNS[:, 1] < 0, :, 1] += 2.0 * data.b
+    faces = faces0 + n_local * np.arange(4)[:, None, None]
+    mirrored = np.prod(_PIECE_SIGNS, axis=1) < 0
+    faces[mirrored] = faces[mirrored][:, :, [0, 2, 1]]
+    all_verts = pieces.reshape(-1, 3)
+    all_faces = faces.reshape(-1, 3)
 
     diag = float(np.linalg.norm(all_verts.max(axis=0) - all_verts.min(axis=0)))
     tol = (_WELD_TOL_FACTOR * diag) if weld_tol is None else weld_tol
 
-    uf = _UnionFind(len(all_verts))
-    report = {"vertical_end": "welded", "endpoint_columns": "welded",
-              "horizontal_end": "welded"}
+    # correspondence: (quarter boundary ids, piece pairs it joins, required)
+    correspondences = {
+        "vertical_end": (idx[0], [[0, 1], [2, 3]], True),
+        "endpoint_columns": (idx[:, [0, -1]].T, [[0, 2], [1, 3]], True),
+        "horizontal_end": (idx[-1], [[0, 2], [1, 3]], require_horizontal_weld),
+    }
+    report, worst_gap, welds = {}, {}, []
+    for name, (ids, piece_pairs, required) in correspondences.items():
+        ga, gb = (ids.ravel() + n_local * np.array(piece_pairs).T[..., None]
+                  ).reshape(2, -1)
+        gap = np.linalg.norm(all_verts[ga] - all_verts[gb], axis=1)
+        worst = worst_gap[name] = float(gap.max())
+        if worst > tol and required:
+            raise WeldFailure(f"{name.replace('_', ' ')} correspondence off by "
+                              f"{worst:.3e} > tol {tol:.3e}")
+        report[name] = "welded" if worst <= tol else "open"
+        welds.append(np.stack([ga, gb])[:, gap <= tol])
+    report.update(tol=tol, worst_gap=worst_gap)
+    ga, gb = np.concatenate(welds, axis=1)
 
-    def weld_pairs(ids_a, ids_b, label, required):
-        ok = True
-        for la, lb in zip(np.ravel(ids_a), np.ravel(ids_b)):
-            ga, gb = int(la), int(lb)
-            d = float(np.linalg.norm(all_verts[ga] - all_verts[gb]))
-            if d <= tol:
-                uf.union(ga, gb)
-            else:
-                ok = False
-                if required:
-                    raise WeldFailure(
-                        f"{label} correspondence off by {d:.3e} > tol {tol:.3e}")
-        return ok
-
-    top = idx.shape[0] - 1
-    # vertical-end rows: piece <-> its rho_V image
-    ok_v = weld_pairs(idx[0, :] + offsets[0], idx[0, :] + offsets[1],
-                      "vertical end", True)
-    ok_v &= weld_pairs(idx[0, :] + offsets[2], idx[0, :] + offsets[3],
-                       "vertical end", True)
-    if not ok_v:
-        report["vertical_end"] = "open"
-    # s-endpoint columns: piece <-> its rho_H image (z = 0 there)
-    ok_c = True
-    for col in (0, idx.shape[1] - 1):
-        ok_c &= weld_pairs(idx[:, col] + offsets[0], idx[:, col] + offsets[2],
-                           "endpoint column", True)
-        ok_c &= weld_pairs(idx[:, col] + offsets[1], idx[:, col] + offsets[3],
-                           "endpoint column", True)
-    if not ok_c:
-        report["endpoint_columns"] = "open"
-    # horizontal-end rows: coincide only when the end lies in z = 0
-    ok_h = weld_pairs(idx[top, :] + offsets[0], idx[top, :] + offsets[2],
-                      "horizontal end", require_horizontal_weld)
-    ok_h &= weld_pairs(idx[top, :] + offsets[1], idx[top, :] + offsets[3],
-                       "horizontal end", require_horizontal_weld)
-    if not ok_h:
-        report["horizontal_end"] = "open"
-
-    roots = np.fromiter((uf.find(i) for i in range(len(all_verts))),
-                        dtype=np.int64, count=len(all_verts))
-    unique_roots, new_ids = np.unique(roots, return_inverse=True)
-    mesh = TriMesh(all_verts[unique_roots], new_ids[all_faces], weld_report=report)
+    # each welded vertex takes the smallest index in its weld class
+    label = np.arange(len(all_verts))
+    while True:
+        before = label.copy()
+        np.minimum.at(label, ga, label[gb])
+        np.minimum.at(label, gb, label[ga])
+        if np.array_equal(label, before):
+            break
+    roots, new_ids = np.unique(label, return_inverse=True)
+    mesh = TriMesh(all_verts[roots], new_ids[all_faces], weld_report=report)
     report["boundary_edge_count"] = mesh.boundary_edge_count()
     return mesh
 

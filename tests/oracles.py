@@ -5,15 +5,19 @@ differentiation: composite Simpson on fixed grids, plain finite differences,
 and closed forms.  The frozen constants were produced by these same oracles
 (cross-checked at much higher resolution) before the library existed; tests
 compare library output against them, never the other way round.  The one
-exception is the intersection oracle, which reuses the library's
-triangle-pair test but none of its candidate search: it tries every pair.
+exceptions are the intersection oracle, which reuses the library's
+triangle-pair test but none of its candidate search (it tries every pair),
+and the assembly oracle, which calls the library's surface map and
+tolerance factors but samples, triangulates and welds with plain loops and a
+union-find.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pillowfold.mesh import _tri_tri_batch
+from pillowfold.mesh import (_DEDUPE_FACTOR, _WELD_TOL_FACTOR,
+                             _tri_tri_batch)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -115,3 +119,98 @@ def brute_force_intersections(mesh, contact_tol_factor: float) -> list:
     eps = contact_tol_factor * max(mesh.diagonal(), 1e-300)
     hit = _tri_tri_batch(P[i], P[j], eps)
     return sorted(zip(i[hit].tolist(), j[hit].tolist()))
+
+
+def loop_assembly(X, data, n_s: int, n_v: int) -> tuple:
+    """The four reflected quarters of X welded point by point: (vertices,
+    faces, statuses), as mesh.assemble_reflected builds them.
+
+    Rows of the (n_v + 1) x (n_s + 1) quarter grid run from v = zeta - b up
+    to v = zeta with the crease row at v = 0; ids run up each column,
+    vertically coincident neighbours share one.  rho_V reflects in y = b,
+    rho_H in z = 0.  Every boundary vertex pair within the weld tolerance is
+    merged into the class of its smallest index; a correspondence with a
+    pair outside it is "open".  Nothing is raised: the library raises where
+    a required correspondence is open.
+    """
+    n_lower = n_v // 2
+    n_upper = n_v - n_lower
+    b = data.b
+    s = np.linspace(0.0, data.length, n_s + 1)
+    z = np.asarray(data.zeta.eval(s, 0), dtype=float).copy()
+    for k in (0, n_s):
+        if abs(z[k]) <= 1e-9:
+            z[k] = 0.0
+    rows = [(z - b) * (1.0 - j / n_lower) for j in range(n_lower)]
+    rows += [z * (j / n_upper) for j in range(n_upper + 1)]
+    vmat = np.stack(rows)
+    pts = X(np.broadcast_to(s, vmat.shape), vmat)
+    snap = _DEDUPE_FACTOR * max(float(np.linalg.norm(
+        pts.max(axis=(0, 1)) - pts.min(axis=(0, 1)))), 1.0)
+
+    n_rows, n_cols = vmat.shape
+    idx = np.zeros((n_rows, n_cols), dtype=np.int64)
+    quarter = []
+    for i in range(n_cols):
+        for j in range(n_rows):
+            if j and np.linalg.norm(pts[j, i] - pts[j - 1, i]) <= snap:
+                idx[j, i] = idx[j - 1, i]
+            else:
+                idx[j, i] = len(quarter)
+                quarter.append(pts[j, i])
+
+    tris = []
+    for j in range(n_rows - 1):
+        for i in range(n_cols - 1):
+            a, bb = idx[j, i], idx[j, i + 1]
+            d, c = idx[j + 1, i], idx[j + 1, i + 1]
+            pair = ((a, d, c), (a, c, bb)) if j >= n_lower \
+                else ((a, d, bb), (bb, d, c))
+            tris += [t for t in pair if len(set(t)) == 3]
+
+    n = len(quarter)
+    verts, faces = [], []
+    for k, (flip_y, flip_z) in enumerate(((False, False), (True, False),
+                                          (False, True), (True, True))):
+        for p in quarter:
+            verts.append([p[0], 2.0 * b - p[1] if flip_y else p[1],
+                          -p[2] if flip_z else p[2]])
+        for t0, t1, t2 in tris:
+            faces.append((t0 + k * n, t2 + k * n, t1 + k * n)
+                         if flip_y != flip_z else
+                         (t0 + k * n, t1 + k * n, t2 + k * n))
+    verts = np.array(verts)
+    tol = _WELD_TOL_FACTOR * float(np.linalg.norm(
+        verts.max(axis=0) - verts.min(axis=0)))
+
+    parent = list(range(len(verts)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    statuses = {}
+    top = n_rows - 1
+    correspondences = (
+        ("vertical_end", [idx[0, i] for i in range(n_cols)], ((0, 1), (2, 3))),
+        ("endpoint_columns", [idx[j, i] for i in (0, n_cols - 1)
+                              for j in range(n_rows)], ((0, 2), (1, 3))),
+        ("horizontal_end", [idx[top, i] for i in range(n_cols)],
+         ((0, 2), (1, 3))),
+    )
+    for name, ids, piece_pairs in correspondences:
+        statuses[name] = "welded"
+        for ka, kb in piece_pairs:
+            for i in ids:
+                ga, gb = int(i + ka * n), int(i + kb * n)
+                if np.linalg.norm(verts[ga] - verts[gb]) > tol:
+                    statuses[name] = "open"
+                    continue
+                ra, rb = sorted((find(ga), find(gb)))
+                parent[rb] = ra
+
+    roots = sorted({find(i) for i in range(len(verts))})
+    new_id = {r: k for k, r in enumerate(roots)}
+    faces = [[new_id[find(i)] for i in f] for f in faces]
+    return verts[roots], np.array(faces, dtype=np.int64), statuses

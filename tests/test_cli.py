@@ -87,7 +87,13 @@ def test_deform_single_state(capsys, tmp_path):
     assert abs(payload["depth"] - oc.DEPTH_HALF) < 1e-9
     assert not payload["topology"]["closed"]
     assert payload["topology"]["intersections"] > 0
-    assert payload["weld"]["horizontal_end"] == "open"
+    weld = payload["weld"]
+    assert weld["horizontal_end"] == "open"
+    # the end and its mirror image are 2 |depth| apart; the rest closes
+    assert abs(weld["worst_gap"]["horizontal_end"]
+               - 2.0 * abs(oc.DEPTH_HALF)) < 1e-9
+    assert weld["worst_gap"]["vertical_end"] <= weld["tol"]
+    assert weld["worst_gap"]["endpoint_columns"] <= weld["tol"]
     assert (out / "deformed_t0p5.obj").exists()
 
 
@@ -172,6 +178,20 @@ def test_verify_tolerance_override_can_fail(capsys):
                              "--tol", "isometry=1e-16")
     assert rc == 1
     assert payload["passed"] < payload["total"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--pattern-scaling", "--t-values", "0,abc"],
+    ["family", "--pattern-scaling", "--t-values", ",0.5"],
+    ["verify", "--all", "--tol", "isometry=abc"],
+    ["validate", "--samples", "0"],
+], ids=["t-values-word", "t-values-empty", "tol-word", "samples-0"])
+def test_malformed_numeric_input_exits_2(argv, capsys):
+    # a usage error, not exit 1, which means a failed check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_tolerance_name_rejected():

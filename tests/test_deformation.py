@@ -168,6 +168,42 @@ def test_assembled_deformation_topology():
     assert abs(enclosed_volume(flat)) < 1e-14
 
 
+def test_horizontal_end_weld_threshold():
+    # the horizontal end and its rho_H image lie 2 |coeff(lam)| zeta(s) apart,
+    # so the end welds exactly while 2 |coeff| max_grid zeta <= the weld
+    # tolerance: for t up to ~3e-6 and from ~1 - 3e-6 on, at 48x24
+    data = FundamentalData.demo()
+    schedule = DeformationSchedule.linear()
+    zeta_max = float(np.max(data.zeta.eval(np.linspace(0.0, 2.0, 49), 0)))
+
+    def weld(t):
+        report = assemble_deformed(data, schedule, t, 48, 24).weld_report
+        want = 2.0 * abs(deformed_quarter(data, schedule, t)
+                         .depth_coefficient()) * zeta_max
+        # near lam = 1 the end's z is the difference of two terms ~zeta that
+        # cancel to ~t zeta, so it keeps about 1e-16 / t of relative accuracy
+        assert abs(report["worst_gap"]["horizontal_end"] / want - 1.0) < 1e-9
+        assert report["worst_gap"]["vertical_end"] <= report["tol"]
+        assert report["worst_gap"]["endpoint_columns"] <= report["tol"]
+        return report
+
+    for t in (0.37, 0.5, 1e-3):
+        assert weld(t)["horizontal_end"] == "open"
+    for t_near, welded_side in ((3e-6, -1.0), (1.0 - 1e-6, 1.0)):
+        tol = weld(t_near)["tol"]
+        # |coeff(lam)| = tol / (2 zeta_max): lam^3 + c lam^2 - lam + c = 0
+        c = tol / (2.0 * zeta_max)
+        lams = np.roots([1.0, c, -1.0, c]).real
+        t_cross = 1.0 - lams[np.argmin(np.abs(lams - schedule.lam(t_near)))]
+        # the tolerance moves with the bounding box by ~1e-7 over this range
+        for side in (-1.0, 1.0):
+            t = t_cross + side * 1e-3 * min(t_cross, 1.0 - t_cross)
+            report = weld(t)
+            assert abs(report["tol"] / tol - 1.0) < 1e-6
+            assert report["horizontal_end"] == (
+                "welded" if side == welded_side else "open")
+
+
 def test_pattern_scaling_family_members():
     data = FundamentalData.demo()
     base_width = data.half_width()
