@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ProfileCrease
-from .development import pattern_graph
 from .errors import DomainError, IoError, OutOfDomain, ScheduleViolation
 from .mesh import TriMesh, assemble_reflected
 from .pillowbox import XI_LOWER
-from .profiles import FundamentalData, graph_to_arclength_profile
+from .profiles import FundamentalData, ProfileFunction, _MonotoneMap
 
 _T_TOL = 1e-12
 
@@ -236,15 +235,43 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
     Scaling the graph preserves the developed width exactly, so all family
     members share one double rectangle; t > 0 also removes the endpoint
     degeneracy (the scaled slope stays below the critical value).
+
+    The member is evaluated over the base arc length u rather than through
+    the pattern graph.  With c = 1 - t and k = 1 - c^2, the graph
+    (x(u), c zeta(u)), dx/du = sqrt(1 - zeta'^2), has arc-length rate
+
+        m(u) = sqrt(1 - zeta'^2 + c^2 zeta'^2) = sqrt(1 - k zeta'^2),
+
+    so s_t(u) = int_0^u m is one monotone map and, with u = s_t^-1(s),
+
+        zeta_t = c zeta(u),  zeta_t' = c zeta'/m,  zeta_t'' = c zeta''/m^4,
+
+    the last because dm/du = -k zeta' zeta''/m and m^2 + k zeta'^2 = 1.
+    Admissible data have |zeta'| <= 1/sqrt2, so m >= sqrt(1 - zeta'^2) >=
+    1/sqrt2: the map has no square-root zero even where the base end slope
+    is critical.  At t = 0 the rate is 1 and the member is zeta itself.
     """
     if not np.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"t must lie in [0, 1), got {t}")
-    psi = pattern_graph(data)
-    if t == 0.0:
-        scaled = psi
-    else:
-        scaled = psi.scaled(1.0 - t)
-    _, zeta_t = graph_to_arclength_profile(scaled, "plane-crease")
+    zeta = data.zeta
+    c = 1.0 - t
+    k = 1.0 - c * c
+
+    def rate(u):
+        return np.sqrt(1.0 - k * np.asarray(zeta.eval(u, 1)) ** 2)
+
+    travel = _MonotoneMap(rate, zeta.length)
+
+    def evaluator(s, order):
+        u = travel.inverse(s)
+        if order == 0:
+            return c * np.asarray(zeta.eval(u, 0))
+        if order == 1:
+            return c * np.asarray(zeta.eval(u, 1)) / rate(u)
+        return c * np.asarray(zeta.eval(u, 2)) / rate(u) ** 4
+
+    zeta_t = ProfileFunction(travel.total, "pattern-scaled", evaluator,
+                             {"t": float(t), "base_kind": zeta.kind})
     return FundamentalData(data.b, zeta_t)
 
 

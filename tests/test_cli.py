@@ -39,6 +39,16 @@ def test_validate_from_input_file(capsys, tmp_path):
     rc, payload, _ = run_cli(capsys, "validate", "--input", str(shallow))
     assert rc == 1 and not payload["valid"]
 
+    # end slope 0.7075 > 1/sqrt2: the folded crease cannot be travelled
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps(
+        {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
+                            "width": 0.99889}}))
+    rc, payload, _ = run_cli(capsys, "validate", "--input", str(steep))
+    assert rc == 1 and not payload["valid"]
+    failed = [e["name"] for e in payload["entries"] if not e["passed"]]
+    assert failed == ["endpoint-slope"]
+
 
 def test_missing_input_file_exits_2(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "validate", "--input",

@@ -2,20 +2,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     admissibility_margin, assemble_deformed,
                                     deformed_quarter, horizontal_end_depth,
                                     pattern_scaling_family, sweep_trace,
                                     validate_schedule)
-from pillowfold.development import developing_map
+from pillowfold.development import developing_map, pattern_graph
 from pillowfold.errors import (DomainError, IoError, NotClosed,
                                ScheduleViolation)
 from pillowfold.pillowbox import quarter_parametrization
-from pillowfold.profiles import FundamentalData
+from pillowfold.profiles import (FundamentalData, ProfileFunction,
+                                 graph_to_arclength_profile)
 from pillowfold.verify import enclosed_volume, topology_report
 
 import oracles as oc
+from strategies import admissible_data
 
 
 def test_schedule_linear_and_cosine():
@@ -235,6 +238,44 @@ def test_pattern_scaling_volumes_decrease_continuously():
         assert gaps[k] < 3.0 * gaps[k - 1] + 1e-12
         assert gaps[k - 1] < 3.0 * gaps[k] + 1e-12
     assert vols[-1] < 0.15 * vols[0]
+
+
+def _nested_pattern_scaling(data, t):
+    """The member as the pattern graph scaled by 1 - t and converted back to
+    arc length: two nested monotone maps per evaluation."""
+    psi = pattern_graph(data)
+    scaled = psi if t == 0.0 else psi.scaled(1.0 - t)
+    return FundamentalData(
+        data.b, graph_to_arclength_profile(scaled, "plane-crease")[1])
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data(), st.floats(0.0, 0.95))
+def test_pattern_scaling_matches_nested_maps(data, t):
+    member = pattern_scaling_family(data, t)
+    nested = _nested_pattern_scaling(data, t)
+    assert abs(member.length - nested.length) < 1e-12
+    s = np.linspace(0.0, member.length, 33)
+    for order in (0, 1, 2):
+        assert np.max(np.abs(member.zeta.eval(s, order)
+                             - nested.zeta.eval(s, order))) < 1e-12
+    assert abs(member.half_width() - data.half_width()) < 1e-12
+
+
+@pytest.mark.parametrize("data", [
+    FundamentalData.demo(),
+    FundamentalData(0.8, ProfileFunction.hyperbolic(2.5, 1.6)),
+    FundamentalData(0.5, ProfileFunction.circular(1.0, 1.2)),
+    FundamentalData(1.0, ProfileFunction.polynomial([0.0, 0.6, -0.3], 2.0)),
+    FundamentalData(1.0, ProfileFunction.tabulated(
+        [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.2, 0.27, 0.2, 0.0])),
+], ids=["demo", "hyperbolic", "circular", "poly", "table"])
+def test_pattern_scaling_at_zero_is_the_base(data):
+    member = pattern_scaling_family(data, 0.0)
+    s = np.linspace(0.0, data.length, 33)
+    for order in (0, 1, 2):
+        assert np.max(np.abs(member.zeta.eval(s, order)
+                             - data.zeta.eval(s, order))) < 1e-14
 
 
 def test_sweep_trace_rows():

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pillowfold.deformation import (DeformationSchedule, assemble_deformed,
                                     deformed_quarter)
@@ -15,10 +15,10 @@ from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _overlapping_box_pairs,
                              min_triangle_area_check, quarter_grid_v,
                              sample_and_triangulate, self_intersection_pairs)
 from pillowfold.pillowbox import assemble_box, quarter_parametrization
-from pillowfold.profiles import (FundamentalData, ProfileFunction,
-                                 validate_fundamental_data)
+from pillowfold.profiles import FundamentalData, ProfileFunction
 
 import oracles as oc
+from strategies import admissible_data
 
 
 def test_trimesh_basics_on_cube():
@@ -221,49 +221,6 @@ def test_box_mesh_statistics():
     assert box.is_closed()
     # every face uses the welded vertex pool, no orphans
     assert set(np.unique(box.faces)) == set(range(box.n_vertices))
-
-
-@st.composite
-def admissible_data(draw) -> FundamentalData:
-    """(b, zeta) over the four serializable profile kinds, with end slopes
-    up to 0.7 and b above max zeta, kept when validate_fundamental_data
-    passes every entry.  That includes the ungated end slope: validate
-    accepts an end slope just above 1/sqrt2, where the folded crease's
-    travel rate sqrt(1 - 2 zeta'^2) is not real and the box cannot be
-    built."""
-    kind = draw(st.sampled_from(["hyperbolic", "circular", "poly", "table"]))
-    length = draw(st.floats(1.0, 3.0))
-    slope = draw(st.floats(0.1, 0.7))      # about the larger end slope
-    if kind == "hyperbolic":
-        # end slope 1 / hypot(1, width / half)
-        zeta = {"kind": kind, "length": length,
-                "width": 0.5 * length * np.sqrt(1.0 / slope ** 2 - 1.0)}
-    elif kind == "circular":
-        # end slope half / sqrt(radius^2 - half^2)
-        zeta = {"kind": kind, "length": length,
-                "radius": 0.5 * length * np.sqrt(1.0 + 1.0 / slope ** 2)}
-    elif kind == "poly":
-        # a s (L - s)(1 + c s / L), end slopes a L and a L (1 + c)
-        c = draw(st.floats(-0.45, 0.45))
-        a = slope / (length * (1.0 + max(c, 0.0)))
-        zeta = {"kind": kind, "length": length,
-                "coeffs": [0.0, a * length, a * (c - 1.0), -a * c / length]}
-    else:
-        # a tilted sine arch sampled at 5 to 9 knots
-        u = np.linspace(0.0, 1.0, draw(st.integers(5, 9)))
-        tilt = draw(st.floats(-0.4, 0.4))
-        values = slope / (1.0 + 0.5 * abs(tilt)) * length / np.pi \
-            * np.sin(np.pi * u) * (1.0 + tilt * (u - 0.5))
-        values[[0, -1]] = 0.0
-        zeta = {"kind": kind, "s": (length * u).tolist(),
-                "values": values.tolist()}
-    height = FundamentalData.from_descriptor(
-        {"b": 1.0, "zeta": zeta}).max_height()
-    data = FundamentalData.from_descriptor(
-        {"b": height * draw(st.floats(1.1, 4.0)), "zeta": zeta})
-    report = validate_fundamental_data(data.b, data.zeta)
-    assume(all(e["passed"] for e in report.entries))
-    return data
 
 
 _CORRESPONDENCES = ("vertical_end", "endpoint_columns", "horizontal_end")

@@ -191,6 +191,20 @@ def test_validate_steep_profile_fails_slope():
     assert not report.valid
 
 
+@pytest.mark.parametrize("excess, valid", [(-2.0, True), (0.0, True),
+                                            (2.0, False)])
+def test_validate_end_slope_threshold(excess, valid):
+    # a s - a s^2 / 2 on [0, 2]: end slopes +-a, interior slopes below a
+    bc_tol = 1e-9
+    a = 1.0 / np.sqrt(2.0) + excess * bc_tol
+    report = validate_fundamental_data(
+        1.0, ProfileFunction.polynomial([0.0, a, -0.5 * a], 2.0), bc_tol=bc_tol)
+    entry = next(e for e in report.entries if e["name"] == "endpoint-slope")
+    assert entry["gating"] and entry["passed"] == valid
+    assert abs(entry["margin"] + excess * bc_tol) < 1e-15
+    assert report.valid == valid
+
+
 def test_graph_to_arclength_plane_mode():
     # the demo crease pattern, converted back to an arc-length profile,
     # must reproduce the demo profile and its domain length
