@@ -17,7 +17,7 @@ import numpy as np
 
 from . import deformation, development, folding, mesh, pillowbox, verify
 from .deformation import DeformationSchedule
-from .errors import IoError, PillowFoldError
+from .errors import DomainError, IoError, PillowFoldError
 from .profiles import FundamentalData, validate_fundamental_data
 
 _TOL_DEFAULTS = {
@@ -38,10 +38,22 @@ def _read_json(path: str) -> dict:
         raise IoError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_data(path: str | None) -> FundamentalData:
+def _read_data(path: str | None) -> FundamentalData:
     if path is None:
         return FundamentalData.demo()
     return FundamentalData.from_descriptor(_read_json(path))
+
+
+def _load_data(path: str | None) -> FundamentalData:
+    """Fundamental data that validate accepts; DomainError (exit 2) naming
+    the first failed gating entry otherwise."""
+    data = _read_data(path)
+    report = validate_fundamental_data(data.b, data.zeta)
+    if not report.valid:
+        e = next(e for e in report.entries if e["gating"] and not e["passed"])
+        raise DomainError(f"invalid fundamental data: {e['name']} fails, "
+                          f"margin {e['margin']:g} at s = {e['worst_s']:g}")
+    return data
 
 
 def _load_schedule(name: str) -> DeformationSchedule:
@@ -132,7 +144,7 @@ def _isometry_checks(data, schedule, t_values, n_s, n_half, eps, tol):
         for side in ("upper", "lower"):
             s, v = _strip_grid(data, n_s, n_half, side, eps)
             rep = verify.check_isometry(
-                quarter.sampler(slack), ref, s, v, h_s, h_v, tol,
+                quarter.sampler(side, slack), ref, s, v, h_s, h_v, tol,
                 label=f"isometry t={t:g} {side}")
             reports.append(rep)
     return reports
@@ -148,7 +160,7 @@ def _flatness_checks(data, schedule, t_values, n_s, n_half, eps, tol):
         for side in ("upper", "lower"):
             s, v = _strip_grid(data, n_s, n_half, side, eps)
             rep = verify.check_flatness(
-                quarter.sampler(slack), s, v, h_s, h_v, tol,
+                quarter.sampler(side, slack), s, v, h_s, h_v, tol,
                 label=f"flatness t={t:g} {side}")
             reports.append(rep)
     return reports
@@ -287,7 +299,7 @@ def _obstruction_checks(data, schedule, n_s, n_v, tols):
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    data = _load_data(args.input)
+    data = _read_data(args.input)
     report = validate_fundamental_data(data.b, data.zeta, args.samples)
     _emit(report.to_dict())
     return 0 if report.valid else 1

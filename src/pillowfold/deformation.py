@@ -164,15 +164,21 @@ class DeformedQuarter:
                                   -2.0 * self.lam / denom])
         self.xi_lower = XI_LOWER.copy()
 
-    def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
-        """domain_slack loosens the v-domain check; finite-difference
-        stencils straddling the curved boundary need a little room."""
+    def _domain(self, s, v, domain_slack: float) -> tuple:
+        """(s, v) as arrays of one shape, after checking v in [zeta - b, zeta]
+        up to a tolerance loosened by domain_slack."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
         z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
         tol = 1e-9 * max(self.length, self.data.b) + domain_slack
         if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - self.data.b - tol):
             raise OutOfDomain("v outside [zeta - b, zeta]")
+        return s_arr, v_arr
+
+    def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
+        """domain_slack loosens the v-domain check; finite-difference
+        stencils straddling the curved boundary need a little room."""
+        s_arr, v_arr = self._domain(s, v, domain_slack)
         base = self.crease.point(s_arr)
         ruling = np.where((v_arr >= 0.0)[..., None], self.xi_upper, self.xi_lower)
         return base + v_arr[..., None] * ruling
@@ -180,9 +186,18 @@ class DeformedQuarter:
     def __call__(self, s, v):
         return self.X(s, v)
 
-    def sampler(self, slack: float = 0.0):
-        """X with a fixed domain slack, for stencil-based checks."""
-        return lambda s, v: self.X(s, v, domain_slack=slack)
+    def sampler(self, side: str, slack: float = 0.0):
+        """The "upper" or "lower" strip as its own smooth extension
+        crease(s) + v xi_side, for stencil-based checks, with a fixed domain
+        slack.  The ruling is fixed by side, not by sign(v), so a stencil
+        that reaches across the crease stays on one strip; where X's ruling
+        is the same, the points are X's to the bit."""
+        xi = {"upper": self.xi_upper, "lower": self.xi_lower}[side]
+
+        def strip(s, v):
+            s_arr, v_arr = self._domain(s, v, slack)
+            return self.crease.point(s_arr) + v_arr[..., None] * xi
+        return strip
 
     def vertical_end(self, s) -> np.ndarray:
         z0 = np.asarray(self.data.zeta.eval(np.atleast_1d(np.asarray(s, float)), 0))

@@ -122,7 +122,8 @@ def validate_pattern_conditions(f: ProfileFunction, b: float,
 def double_rectangle_mesh(width: float, height: float, n: int) -> TriMesh:
     """Two coincident flat sheets over [0, width] x [0, height], welded along
     the common boundary with opposite orientations: a closed genus-0 mesh of
-    zero volume."""
+    zero volume.  Each face is labelled with its column of cells (slab) and
+    its sheet (piece)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     xs = np.linspace(0.0, width, n + 1)
@@ -149,4 +150,7 @@ def double_rectangle_mesh(width: float, height: float, n: int) -> TriMesh:
     a, bb, c, d = corners(ids)
     a2, b2, c2, d2 = corners(ids2)
     faces = np.array([[a, bb, c], [a, c, d], [a2, d2, b2], [b2, d2, c2]])
-    return TriMesh(vertices, faces.transpose(2, 3, 0, 1).reshape(-1, 3))
+    labels = np.stack([np.repeat(np.arange(n), 4 * n),
+                       np.tile([0, 0, 1, 1], n * n)], axis=1)
+    return TriMesh(vertices, faces.transpose(2, 3, 0, 1).reshape(-1, 3),
+                   face_labels=labels)

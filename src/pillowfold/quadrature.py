@@ -24,7 +24,8 @@ def _ensure_finite(values: np.ndarray, points: np.ndarray) -> None:
     bad = ~np.isfinite(values)
     if np.any(bad):
         where = np.atleast_1d(points)[np.atleast_1d(bad)]
-        raise NonFiniteEvaluation(f"integrand not finite near {where.flat[0]!r}")
+        raise NonFiniteEvaluation(
+            f"integrand not finite near {float(where.flat[0])!r}")
 
 
 def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndarray:

@@ -59,8 +59,9 @@ def test_criterion_1_isometry_family():
     for t in T_GRID:
         q = DeformedQuarter(DATA, float(1.0 - t))
         for side in ("upper", "lower"):
-            rep = check_isometry(q.sampler(2 * (h_s + h_v)), metric_reference,
-                                 s, strip_vgrid(s, 16, side), h_s, h_v, tol)
+            rep = check_isometry(q.sampler(side, 2 * (h_s + h_v)),
+                                 metric_reference, s,
+                                 strip_vgrid(s, 16, side), h_s, h_v, tol)
             worst = max(worst, rep.worst)
     report(1, "isometry of the family", worst <= tol,
            f"worst={worst:.3e} tol={tol:g} over {T_GRID.size} stages x 64x32")
@@ -92,7 +93,7 @@ def test_criterion_3_flatness():
     for t in T_GRID:
         q = DeformedQuarter(DATA, float(1.0 - t))
         for side in ("upper", "lower"):
-            rep = check_flatness(q.sampler(4 * h), s,
+            rep = check_flatness(q.sampler(side, 4 * h), s,
                                  strip_vgrid(s, 8, side), h, h, tol)
             worst = max(worst, rep.worst)
     report(3, "flatness of all strips", worst <= tol,

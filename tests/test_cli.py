@@ -6,11 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from pillowfold.cli import main
 from pillowfold.mesh import load_obj
 
 import oracles as oc
+from strategies import admissible_data
+
+# end slope 0.7075 > 1/sqrt2: the folded crease cannot be travelled
+STEEP_ARCH = {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
+                                 "width": 0.99889}}
 
 
 def run_cli(capsys, *argv):
@@ -39,15 +45,29 @@ def test_validate_from_input_file(capsys, tmp_path):
     rc, payload, _ = run_cli(capsys, "validate", "--input", str(shallow))
     assert rc == 1 and not payload["valid"]
 
-    # end slope 0.7075 > 1/sqrt2: the folded crease cannot be travelled
     steep = tmp_path / "steep.json"
-    steep.write_text(json.dumps(
-        {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
-                            "width": 0.99889}}))
+    steep.write_text(json.dumps(STEEP_ARCH))
     rc, payload, _ = run_cli(capsys, "validate", "--input", str(steep))
     assert rc == 1 and not payload["valid"]
     failed = [e["name"] for e in payload["entries"] if not e["passed"]]
     assert failed == ["endpoint-slope"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["develop"], ["deform", "--t", "0.5"],
+    ["family", "--pattern-scaling"], ["verify", "--all"],
+], ids=["build", "develop", "deform", "family", "verify"])
+def test_rejected_input_exits_2_naming_the_entry(argv, capsys, tmp_path):
+    # every subcommand but validate refuses data that validate rejects
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps(STEEP_ARCH))
+    rc, payload, err = run_cli(capsys, *argv, "--input", str(steep),
+                               "--grid", "8x4")
+    assert rc == 2 and payload is None
+    err = json.loads(err)
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith(
+        "invalid fundamental data: endpoint-slope fails, margin -0.000392")
 
 
 def test_missing_input_file_exits_2(capsys, tmp_path):
@@ -181,6 +201,18 @@ def test_verify_all_passes(capsys):
     assert any(n.startswith("flatness") for n in names)
     assert any(n.startswith("topology") for n in names)
     assert "dual-metric-agreement" in names
+
+
+@settings(derandomize=True, max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=admissible_data())
+def test_verify_all_passes_on_admissible_boxes(data, capsys, tmp_path):
+    # 8 examples draw all four profile kinds
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(data.descriptor()))
+    rc, payload, _ = run_cli(capsys, "verify", "--all", "--input", str(path))
+    assert [c["check"] for c in payload["checks"] if not c["pass"]] == []
+    assert rc == 0
 
 
 def test_verify_tolerance_override_can_fail(capsys):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pillowfold.mesh as mesh_module
 from pillowfold.deformation import (DeformationSchedule, assemble_deformed,
                                     deformed_quarter)
+from pillowfold.development import double_rectangle_mesh
 from pillowfold.errors import DegenerateTriangle, GridTooCoarse
-from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _overlapping_box_pairs,
-                             export_obj, export_svg, export_trace, load_obj,
+from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _box_pairs, export_obj,
+                             export_svg, export_trace, load_obj,
                              min_triangle_area_check, quarter_grid_v,
                              sample_and_triangulate, self_intersection_pairs)
 from pillowfold.pillowbox import assemble_box, quarter_parametrization
@@ -120,6 +122,22 @@ def _pairs_checked_by_oracle(mesh: TriMesh) -> list:
     return pairs
 
 
+def _broad_phase_checked_by_scan(mesh: TriMesh, labels) -> None:
+    """The broad phase under the given face labels yields exactly the pairs
+    of one slab and different pieces, among those whose boxes an O(F^2) scan
+    finds overlapping within eps, each once."""
+    P = mesh.vertices[mesh.faces]
+    lo, hi = P.min(axis=1), P.max(axis=1)
+    eps = _CONTACT_FACTOR * mesh.diagonal()
+    i, j = np.triu_indices(mesh.n_faces, 1)
+    near = np.all((lo[i] <= hi[j] + eps) & (lo[j] <= hi[i] + eps), axis=1)
+    if labels is not None:
+        near &= (labels[i, 0] == labels[j, 0]) & (labels[i, 1] != labels[j, 1])
+    found = [pair for batch in _box_pairs(lo, hi, labels, eps)
+             for pair in zip(*(k.tolist() for k in batch))]
+    assert sorted(found) == list(zip(i[near].tolist(), j[near].tolist()))
+
+
 def test_self_intersection_pairs_examples():
     # a triangle piercing another: one offending pair
     verts = np.array([
@@ -147,8 +165,8 @@ def test_self_intersection_pairs_examples():
 
 
 def test_self_intersection_pairs_past_a_power_of_two():
-    # 16 triangles of a 4x2 grid in z = 0 and one long triangle across them:
-    # 2^4 + 1 faces, so the broad phase pads to 32 leaves
+    # 16 triangles of a 4x2 grid in z = 0 and one long triangle across them,
+    # whose y-range covers every grid face
     x, y = np.meshgrid(np.arange(5.0), np.arange(3.0))
     grid = np.stack([x.ravel(), y.ravel(), np.zeros(15)], axis=1)
     quads = [(5 * r + c, 5 * r + c + 1, 5 * r + c + 6, 5 * r + c + 5)
@@ -168,6 +186,10 @@ def test_self_intersection_pairs_of_deformed_demo(t):
     pairs = _pairs_checked_by_oracle(mesh)
     # the corollary: only the open states between the ends self-intersect
     assert bool(pairs) == (0.0 < t < 1.0)
+    # batches of about 100 sweep candidates find the same pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_NARROW_CHUNK", 100)
+        assert self_intersection_pairs(mesh) == pairs
 
 
 _LATTICE = st.integers(-3, 3).map(float)
@@ -204,15 +226,48 @@ def triangle_soups(draw) -> TriMesh:
 @given(triangle_soups())
 def test_self_intersection_pairs_match_oracle_on_soups(mesh):
     _pairs_checked_by_oracle(mesh)
-    # the broad phase yields exactly the box pairs that overlap within eps
-    P = mesh.vertices[mesh.faces]
-    lo, hi = P.min(axis=1), P.max(axis=1)
-    eps = _CONTACT_FACTOR * mesh.diagonal()
-    i, j = np.triu_indices(mesh.n_faces, 1)
-    near = np.all((lo[i] <= hi[j] + eps) & (lo[j] <= hi[i] + eps), axis=1)
-    found = _overlapping_box_pairs(lo, hi, eps)
-    assert sorted(zip(*(k.tolist() for k in found))) == list(
-        zip(i[near].tolist(), j[near].tolist()))
+    # unlabelled: every box pair that overlaps within eps
+    _broad_phase_checked_by_scan(mesh, None)
+    # three slabs of two pieces each, interleaved across the face order
+    k = np.arange(mesh.n_faces)
+    labels = np.stack([k % 3, k // 3 % 2], axis=1)
+    _broad_phase_checked_by_scan(mesh, labels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_NARROW_CHUNK", 3)
+        _broad_phase_checked_by_scan(mesh, None)
+        _broad_phase_checked_by_scan(mesh, labels)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data(), st.floats(0.05, 0.95))
+def test_labelled_broad_phase_on_admissible_states(data, t_open):
+    # same-slab, cross-piece pairs lose no hit of the O(F^2) scan, folded,
+    # open or flat; 8 examples draw all four profile kinds
+    for t in (0.0, t_open, 1.0):
+        mesh = assemble_deformed(data, DeformationSchedule.linear(), t, 12, 6)
+        slab, piece = mesh.face_labels.T
+        assert np.bincount(piece).tolist() == [mesh.n_faces // 4] * 4
+        # slab j lies between the column planes x_j and x_{j+1}
+        x = mesh.vertices[mesh.faces][:, :, 0]
+        lo_x, hi_x = np.array([[x[slab == k].min(), x[slab == k].max()]
+                               for k in range(12)]).T
+        assert np.all(lo_x < hi_x) and np.all(hi_x[:-1] <= lo_x[1:])
+        assert bool(_pairs_checked_by_oracle(mesh)) == (t == t_open)
+        _broad_phase_checked_by_scan(mesh, mesh.face_labels)
+
+
+def test_face_labels_of_the_double_rectangle():
+    rect = double_rectangle_mesh(oc.TWO_A, 2.0, 6)
+    # slab = column of cells, piece = sheet; two triangles per cell and sheet
+    assert rect.face_labels[:8].tolist() == [[0, 0], [0, 0], [0, 1],
+                                             [0, 1]] * 2
+    assert np.bincount(rect.face_labels[:, 0]).tolist() == [24] * 6
+    moved = rect.translated([0.5, -1.0, 2.0])
+    assert np.array_equal(moved.face_labels, rect.face_labels)
+    assert _pairs_checked_by_oracle(moved) == []
+    _broad_phase_checked_by_scan(moved, moved.face_labels)
+    with pytest.raises(ValueError):
+        TriMesh(rect.vertices, rect.faces, face_labels=rect.face_labels[1:])
 
 
 def test_box_mesh_statistics():

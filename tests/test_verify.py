@@ -37,7 +37,7 @@ def metric_reference(smat, vmat):
 def test_isometry_check_passes_on_pillow():
     q = DeformedQuarter(FundamentalData.demo(), 1.0)
     s, v = pillow_grid()
-    rep = check_isometry(q.sampler(2 * (H_S + H_V)), metric_reference,
+    rep = check_isometry(q.sampler("upper", 2 * (H_S + H_V)), metric_reference,
                          s, v, H_S, H_V)
     assert rep.passed
     assert rep.worst < 1e-7
@@ -45,7 +45,7 @@ def test_isometry_check_passes_on_pillow():
 
 def test_isometry_check_fails_on_scaled_surface():
     q = DeformedQuarter(FundamentalData.demo(), 1.0)
-    base = q.sampler(2 * (H_S + H_V))
+    base = q.sampler("upper", 2 * (H_S + H_V))
 
     def stretched(s, v):
         return 1.1 * base(s, v)
@@ -60,21 +60,22 @@ def test_isometry_check_fails_on_scaled_surface():
 def test_isometry_check_report_shape():
     q = DeformedQuarter(FundamentalData.demo(), 0.5)
     s, v = pillow_grid()
-    rep = check_isometry(q.sampler(2 * (H_S + H_V)), metric_reference,
+    rep = check_isometry(q.sampler("upper", 2 * (H_S + H_V)), metric_reference,
                          s, v, H_S, H_V, label="isometry t=0.5")
     d = rep.to_dict()
     assert set(d) == {"check", "grid", "worst", "at", "threshold", "pass"}
     json.dumps(d)
     assert d["grid"] == "12x5"
     with pytest.raises(GridTooCoarse):
-        check_isometry(q.sampler(), metric_reference, s[:2], v[:2], H_S, H_V)
+        check_isometry(q.sampler("upper"), metric_reference, s[:2], v[:2],
+                       H_S, H_V)
 
 
 def test_flatness_passes_on_pillow_and_cylinder():
     q = DeformedQuarter(FundamentalData.demo(), 1.0)
     s, v = pillow_grid()
     h = 2e-4
-    rep = check_flatness(q.sampler(4 * h), s, v, h, h)
+    rep = check_flatness(q.sampler("upper", 4 * h), s, v, h, h)
     assert rep.passed and rep.worst < 1e-6
 
     def cylinder(sm, vm):
