@@ -133,14 +133,14 @@ def _metric_reference(data: FundamentalData):
     return reference
 
 
-def _isometry_checks(data, schedule, t_values, n_s, n_half, eps, tol):
+def _isometry_checks(data, quarters, n_s, n_half, eps, tol):
+    """quarters maps each t to its DeformedQuarter, as for the two below."""
     reports = []
     h_s = 1e-5 * max(data.length, 1.0)
     h_v = 1e-6 * max(data.b, 1.0)
     ref = _metric_reference(data)
     slack = 2.0 * (h_s + h_v)
-    for t in t_values:
-        quarter = deformation.deformed_quarter(data, schedule, float(t))
+    for t, quarter in quarters.items():
         for side in ("upper", "lower"):
             s, v = _strip_grid(data, n_s, n_half, side, eps)
             rep = verify.check_isometry(
@@ -150,13 +150,12 @@ def _isometry_checks(data, schedule, t_values, n_s, n_half, eps, tol):
     return reports
 
 
-def _flatness_checks(data, schedule, t_values, n_s, n_half, eps, tol):
+def _flatness_checks(data, quarters, n_s, n_half, eps, tol):
     reports = []
     h_s = 1e-4 * max(data.length, 1.0)
     h_v = 1e-4 * max(data.b, 1.0)
     slack = 2.0 * (h_s + h_v)
-    for t in t_values:
-        quarter = deformation.deformed_quarter(data, schedule, float(t))
+    for t, quarter in quarters.items():
         for side in ("upper", "lower"):
             s, v = _strip_grid(data, n_s, n_half, side, eps)
             rep = verify.check_flatness(
@@ -166,13 +165,12 @@ def _flatness_checks(data, schedule, t_values, n_s, n_half, eps, tol):
     return reports
 
 
-def _structure_checks(data, schedule, t_values, n_s, eps, tols):
+def _structure_checks(data, quarters, n_s, eps, tols):
     """Crease height/planarity, end confinement, ruling norms."""
     reports = []
     s = folding.interior_grid(data.length, n_s, eps)
     z0 = np.asarray(data.zeta.eval(s, 0))
-    for t in t_values:
-        quarter = deformation.deformed_quarter(data, schedule, float(t))
+    for t, quarter in quarters.items():
         c = quarter.crease.point(s)
         worst_y = float(np.max(np.abs(c[:, 1] - z0)))
         reports.append(verify.CheckReport(
@@ -392,11 +390,13 @@ def _cmd_family(args) -> int:
         if path:
             mesh.export_obj(box, path)
             artifacts.append(path)
+    # Reported, not gated: pattern scaling can raise the volume at small t
+    # (the hyperbolic arch of length 2.402, width 1.411 with b = 0.761 does).
     vols = [r["volume"] for r in rows]
     decreasing = all(v1 > v2 for v1, v2 in zip(vols, vols[1:]))
     _emit({"rows": rows, "volumes_decreasing": decreasing,
            "artifacts": artifacts})
-    return 0 if ok and decreasing else 1
+    return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
@@ -406,12 +406,20 @@ def _cmd_verify(args) -> int:
     eps = args.eps_endpoint
     tols = args.tols
     n_half = max(n_v // 4, 3)
+    # One quarter per state, so the checks of a state share its crease and
+    # that crease's travel memo.  They are built in the order the checks
+    # first use them, so a schedule error names the first state checked.
+    quarters = {t: deformation.deformed_quarter(data, schedule, t)
+                for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.7)}
+
+    def at(*t_values):
+        return {t: quarters[t] for t in t_values}
     reports = []
-    reports += _isometry_checks(data, schedule, (0.0, 0.25, 0.5, 0.75, 1.0),
+    reports += _isometry_checks(data, at(0.0, 0.25, 0.5, 0.75, 1.0),
                                 n_s, n_half, eps, tols["isometry"])
-    reports += _flatness_checks(data, schedule, (0.0, 0.5, 1.0),
+    reports += _flatness_checks(data, at(0.0, 0.5, 1.0),
                                 n_s, n_half, eps, tols["flatness"])
-    reports += _structure_checks(data, schedule, (0.0, 0.3, 0.7, 1.0),
+    reports += _structure_checks(data, at(0.0, 0.3, 0.7, 1.0),
                                  n_s, eps, tols)
     reports += _box_topology_checks(data, n_s, n_v)[0]
     reports += _development_checks(data, n_s, n_v, tols)[0]

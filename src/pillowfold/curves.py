@@ -164,6 +164,12 @@ class ProfileCrease(SpaceCurve):
     Acceleration divides by sigma and refuses evaluation once sigma drops
     below SIGMA_MIN; at the fully folded parameter lam = 1 that excludes the
     two endpoints, everywhere else the whole closed interval is fine.
+
+    point integrates sigma once per distinct set of abscissae: the cumulative
+    integral over [0] + the sorted unique s is kept on the instance, keyed by
+    that unique set.  A repeated set is the same integral of the same points,
+    so the memo returns the bits a fresh computation would; sets are never
+    merged, since each cumulative value depends on the whole point set.
     """
 
     def __init__(self, data: FundamentalData, lam: float = 1.0, mu: float = 0.0):
@@ -174,6 +180,7 @@ class ProfileCrease(SpaceCurve):
         self.mu = float(mu)
         self.length = data.length
         self.analytic_torsion = 0.0
+        self._travel = {}
 
     def sigma(self, s):
         z1 = np.asarray(self.data.zeta.eval(self._check_domain(s), 1))
@@ -193,8 +200,12 @@ class ProfileCrease(SpaceCurve):
         s_arr = self._check_domain(s)
         flat = s_arr.reshape(-1)
         uniq, inverse = np.unique(flat, return_inverse=True)
-        pts = np.concatenate([[0.0], uniq]) if uniq[0] > 0.0 else uniq
-        cum = cumulative_integral(self.sigma, pts, tol=1e-12)
+        key = uniq.tobytes()
+        cum = self._travel.get(key)
+        if cum is None:
+            pts = np.concatenate([[0.0], uniq]) if uniq[0] > 0.0 else uniq
+            cum = self._travel[key] = cumulative_integral(self.sigma, pts,
+                                                          tol=1e-12)
         x = cum[-uniq.size:][inverse].reshape(s_arr.shape)
         z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
         return np.stack([self.mu + x, z0, self.lam * z0], axis=-1)

@@ -1,9 +1,10 @@
 """Adaptive Simpson quadrature, batched over many segments at once.
 
-All integrands must accept numpy arrays. The batch variant keeps a flat queue
-of active panels (segment id, endpoints, cached endpoint/midpoint values) and
-refines every failing panel per sweep, so the integrand is always evaluated on
-one array per sweep instead of recursing panel by panel.
+All integrands must accept numpy arrays and act elementwise. The batch variant
+keeps a flat queue of active panels (segment id, endpoints, cached
+endpoint/midpoint values) and refines every failing panel per sweep, so the
+integrand is called once per sweep, on the new left and right quarter points
+of every open panel together, instead of recursing panel by panel.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ def _ensure_finite(values: np.ndarray, points: np.ndarray) -> None:
             f"integrand not finite near {float(where.flat[0])!r}")
 
 
+def _evaluate(fn, *parts):
+    """fn on several equal-length arrays through one call, split back.
+
+    Integrands are elementwise, so one call on the concatenation gives the
+    values of one call per part; the first non-finite value is named in
+    the order of the parts.
+    """
+    points = np.concatenate(parts)
+    values = np.asarray(fn(points), dtype=float)
+    _ensure_finite(values, points)
+    return np.split(values, len(parts))
+
+
 def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndarray:
     """Integrate fn over each [lo_i, hi_i] with per-segment absolute tolerance.
 
@@ -45,12 +59,7 @@ def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndar
     a = lo.copy()
     b = hi.copy()
     mid = 0.5 * (a + b)
-    fa = np.asarray(fn(a), dtype=float)
-    fm = np.asarray(fn(mid), dtype=float)
-    fb = np.asarray(fn(b), dtype=float)
-    _ensure_finite(fa, a)
-    _ensure_finite(fm, mid)
-    _ensure_finite(fb, b)
+    fa, fm, fb = _evaluate(fn, a, mid, b)
     coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     budget = tol.copy()
     floor_w = np.abs(hi - lo) * _WIDTH_FLOOR_FACTOR
@@ -61,10 +70,7 @@ def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndar
         m = 0.5 * (a + b)
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm = np.asarray(fn(lm), dtype=float)
-        frm = np.asarray(fn(rm), dtype=float)
-        _ensure_finite(flm, lm)
-        _ensure_finite(frm, rm)
+        flm, frm = _evaluate(fn, lm, rm)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         fine = left + right
@@ -109,7 +115,10 @@ def cumulative_integral(fn, points, tol: float = 1e-12,
     The per-segment tolerance is tol scaled by the segment's share of the
     total width (with a small absolute floor), so the accumulated error over
     all segments stays near tol while neighbouring values remain consistent
-    to much better than tol.
+    to much better than tol.  Each value therefore depends on the whole
+    point set, not only on the points up to it: adding points elsewhere
+    changes the last bits, so a caller that memoizes results must key them
+    by the full set and never merge sets.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 1:

@@ -7,17 +7,22 @@ and closed forms.  The frozen constants were produced by these same oracles
 compare library output against them, never the other way round.  The one
 exceptions are the intersection oracle, which reuses the library's
 triangle-pair test but none of its candidate search (it tries every pair),
-and the assembly oracle, which calls the library's surface map and
+the assembly oracle, which calls the library's surface map and
 tolerance factors but samples, triangulates and welds with plain loops and a
-union-find.
+union-find, and the separate-call Simpson oracle, the batched adaptive
+Simpson with one integrand call per point array, against which the library's
+one-call-per-sweep version must agree to the bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from pillowfold.errors import QuadratureFailure
 from pillowfold.mesh import (_DEDUPE_FACTOR, _WELD_TOL_FACTOR,
                              _tri_tri_batch)
+from pillowfold.quadrature import (_WIDTH_FLOOR_FACTOR, MAX_PANELS,
+                                   _ensure_finite)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -79,6 +84,71 @@ def fixed_simpson(fn, a: float, b: float, n: int = 10_000) -> float:
     h = (b - a) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
                             + 2.0 * y[2:-1:2].sum()))
+
+
+def separate_call_simpson(fn, lo, hi, tol,
+                          max_panels: int = MAX_PANELS) -> np.ndarray:
+    """Batched adaptive Simpson over each [lo_i, hi_i] that calls fn once per
+    point array: on the ends and midpoints at the start (three calls), then
+    on the left and the right quarter points of each sweep (two calls)."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    nseg = lo.size
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (nseg,)).copy()
+    tol = np.maximum(tol, 1e-17)
+
+    totals = np.zeros(nseg)
+    seg = np.arange(nseg)
+    a = lo.copy()
+    b = hi.copy()
+    mid = 0.5 * (a + b)
+    fa = np.asarray(fn(a), dtype=float)
+    fm = np.asarray(fn(mid), dtype=float)
+    fb = np.asarray(fn(b), dtype=float)
+    _ensure_finite(fa, a)
+    _ensure_finite(fm, mid)
+    _ensure_finite(fb, b)
+    coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    budget = tol.copy()
+    floor_w = np.abs(hi - lo) * _WIDTH_FLOOR_FACTOR
+    floor_per_panel = floor_w[seg]
+
+    n_panels = nseg
+    while seg.size:
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = np.asarray(fn(lm), dtype=float)
+        frm = np.asarray(fn(rm), dtype=float)
+        _ensure_finite(flm, lm)
+        _ensure_finite(frm, rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        fine = left + right
+        err = (fine - coarse) / 15.0
+        accept = (np.abs(err) <= budget) | ((b - a) <= floor_per_panel)
+
+        if np.any(accept):
+            np.add.at(totals, seg[accept], fine[accept] + err[accept])
+
+        keep = ~accept
+        n_new = 2 * int(np.count_nonzero(keep))
+        n_panels += n_new
+        if n_panels > max_panels:
+            raise QuadratureFailure(
+                f"panel cap {max_panels} exceeded ({seg[keep].size} panels still open)"
+            )
+        seg = np.concatenate([seg[keep], seg[keep]])
+        a = np.concatenate([a[keep], m[keep]])
+        b = np.concatenate([m[keep], b[keep]])
+        fa = np.concatenate([fa[keep], fm[keep]])
+        fb = np.concatenate([fm[keep], fb[keep]])
+        fm = np.concatenate([flm[keep], frm[keep]])
+        coarse = np.concatenate([left[keep], right[keep]])
+        half = 0.5 * budget[keep]
+        budget = np.concatenate([half, half])
+        floor_per_panel = np.concatenate([floor_per_panel[keep], floor_per_panel[keep]])
+    return totals
 
 
 def central_diff(fn, x, h: float):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from pillowfold import curves, quadrature
 from pillowfold.cli import main
 from pillowfold.mesh import load_obj
 
@@ -190,6 +191,33 @@ def test_family_pattern_scaling(capsys):
     assert [r["t"] for r in rows] == [0.0, 0.25, 0.5, 0.75, 0.95]
     assert all(r["closed"] and r["euler"] == 2 for r in rows)
     assert all(r["width_gap"] <= 1e-6 for r in rows)
+
+
+def test_family_reports_but_does_not_gate_volume_order(capsys, tmp_path):
+    # pattern scaling raises this box's volume from t = 0 to t = 0.05
+    box = tmp_path / "hyperbolic.json"
+    box.write_text(json.dumps({"b": 0.761, "zeta": {
+        "kind": "hyperbolic", "length": 2.402, "width": 1.411}}))
+    rc, payload, _ = run_cli(capsys, "family", "--pattern-scaling",
+                             "--t-values", "0,0.05,0.1", "--grid", "48x24",
+                             "--input", str(box))
+    vols = [r["volume"] for r in payload["rows"]]
+    assert vols[0] < vols[1]
+    assert payload["volumes_decreasing"] is False
+    assert rc == 0
+
+
+def test_verify_all_integrates_each_crease_set_once(capsys, monkeypatch):
+    # 114 crease integrals when every call integrated afresh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quadrature.cumulative_integral(*args, **kwargs)
+    monkeypatch.setattr(curves, "cumulative_integral", counted)
+    rc, _, _ = run_cli(capsys, "verify", "--all", "--grid", "32x16")
+    assert rc == 0
+    assert 0 < len(calls) <= 40
 
 
 def test_verify_all_passes(capsys):

@@ -96,6 +96,27 @@ def test_profile_crease_endpoint_singularity():
     require_unit_speed(half, np.array([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.0])
+def test_profile_crease_memo_returns_fresh_bits(lam):
+    # the stencil pattern of the isometry check: s, s + h, s - h, again
+    data = FundamentalData.demo()
+    s = np.broadcast_to(np.linspace(0.001, 1.999, 31)[:, None], (31, 4))
+    h = 2e-5
+    crease = ProfileCrease(data, lam=lam)
+    for arg in (s, s + h, s - h, s, s + h):
+        got = crease.point(arg)
+        assert np.array_equal(got, ProfileCrease(data, lam=lam).point(arg))
+
+
+def test_profile_crease_memo_hands_out_copies():
+    crease = ProfileCrease(FundamentalData.demo(), lam=1.0)
+    s = np.linspace(0.0, 2.0, 17)
+    want = ProfileCrease(FundamentalData.demo(), lam=1.0).point(s)
+    crease.point(s)[:] = -1.0
+    crease.plane_travel(s)[:] = -1.0
+    assert np.array_equal(crease.point(s), want)
+
+
 def test_require_unit_speed_rejects_fast_curve():
     fast = Line([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], length=1.0)
     fast.direction = np.array([2.0, 0.0, 0.0])  # break the invariant

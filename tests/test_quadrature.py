@@ -2,12 +2,38 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pillowfold.curves import ProfileCrease
 from pillowfold.errors import NonFiniteEvaluation, QuadratureFailure
+from pillowfold.profiles import FundamentalData
 from pillowfold.quadrature import (adaptive_simpson, cumulative_integral,
                                    gauss_segments, integrate_segments)
 
-from oracles import fixed_simpson
+from oracles import fixed_simpson, separate_call_simpson
+
+_ARCH_S = np.linspace(0.0, 2.0, 7)
+_TABLE = FundamentalData.from_descriptor({"b": 1.0, "zeta": {
+    "kind": "table", "s": _ARCH_S.tolist(),
+    "values": (0.25 * np.sin(np.pi * _ARCH_S / 2.0)).round(12).tolist()}})
+
+# integrand and interval: the demo's folded sigma has square-root zeros at
+# both ends
+INTEGRANDS = {
+    "exp": (np.exp, -3.0, 3.0),
+    "demo-sigma": (ProfileCrease(FundamentalData.demo(), lam=1.0).sigma,
+                   0.0, 2.0),
+    "table-sigma": (ProfileCrease(_TABLE, lam=1.0).sigma, 0.0, 2.0),
+}
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.size(x))
+        return fn(x)
+    return wrapped, calls
 
 
 def test_adaptive_simpson_cubic_exact():
@@ -91,3 +117,44 @@ def test_gauss_segments_vectorized_over_segments():
     vals = gauss_segments(np.cos, a, b)
     want = np.sin(b) - np.sin(a)
     assert np.max(np.abs(vals - want)) < 1e-13
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGRANDS)),
+       cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-12]), by_width=st.booleans())
+def test_one_integrand_call_per_sweep_same_bits(name, cuts, tol, by_width):
+    fn, lo, hi = INTEGRANDS[name]
+    pts = lo + (hi - lo) * np.sort(cuts)
+    if by_width:       # cumulative_integral's split of the tolerance
+        tol = np.maximum(tol * np.diff(pts) / max(hi - lo, 1e-300), 1e-16)
+    fused, fused_calls = _counted(fn)
+    apart, apart_calls = _counted(fn)
+    got = integrate_segments(fused, pts[:-1], pts[1:], tol)
+    want = separate_call_simpson(apart, pts[:-1], pts[1:], tol)
+    assert np.array_equal(got, want)
+    # three calls at the start and two per sweep, against one and one
+    sweeps, odd = divmod(len(apart_calls) - 3, 2)
+    assert odd == 0
+    assert len(fused_calls) == 1 + sweeps
+    assert sum(fused_calls) == sum(apart_calls)
+
+
+@pytest.mark.parametrize("windows", [
+    [(0.95, 1.1), (0.45, 0.55)],      # at the start: a midpoint and an end
+    [(0.7, 0.8), (0.2, 0.3)],         # in the first sweep: both quarters
+])
+def test_first_non_finite_point_named_as_by_separate_calls(windows):
+    def bad(x):
+        x = np.asarray(x, dtype=float)
+        hit = np.zeros(x.shape, dtype=bool)
+        for lo, hi in windows:
+            hit |= (x > lo) & (x < hi)
+        return np.where(hit, np.nan, x * x)
+
+    for lo, hi in (([0.0], [1.0]), ([0.0, 0.5], [0.5, 1.0])):
+        with pytest.raises(NonFiniteEvaluation) as want:
+            separate_call_simpson(bad, lo, hi, 1e-10)
+        with pytest.raises(NonFiniteEvaluation) as got:
+            integrate_segments(bad, lo, hi, 1e-10)
+        assert str(got.value) == str(want.value)
