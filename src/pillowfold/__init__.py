@@ -12,7 +12,7 @@ from .development import (PlanarDevelopment, developing_map,
                           validate_pattern_conditions)
 from .errors import PillowFoldError
 from .folding import (DevelopableStrip, FrenetData, OrigamiMapRecord,
-                      beta_from_alpha, dual_strip, first_fundamental_form,
+                      beta_from_alpha, first_fundamental_form,
                       frenet_frame, strip_geometry)
 from .mesh import (TriMesh, export_obj, export_svg, export_trace, load_obj,
                    sample_and_triangulate)
@@ -36,7 +36,7 @@ __all__ = [
     "pattern_graph", "validate_pattern_conditions",
     "PillowFoldError",
     "DevelopableStrip", "FrenetData", "OrigamiMapRecord", "beta_from_alpha",
-    "dual_strip", "first_fundamental_form", "frenet_frame", "strip_geometry",
+    "first_fundamental_form", "frenet_frame", "strip_geometry",
     "TriMesh", "export_obj", "export_svg", "export_trace", "load_obj",
     "sample_and_triangulate",
     "QuarterParametrization", "assemble_box", "crease_curve",

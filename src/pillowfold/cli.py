@@ -9,6 +9,7 @@ flags, never on wall clock or randomness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,35 +134,23 @@ def _metric_reference(data: FundamentalData):
     return reference
 
 
-def _isometry_checks(data, quarters, n_s, n_half, eps, tol):
-    """quarters maps each t to its DeformedQuarter, as for the two below."""
+def _stencil_checks(check, name, data, quarters, n_s, n_half, eps,
+                    h_s, h_v, tol):
+    """One report "{name} t={t} {side}" per state and strip, in that order.
+
+    quarters maps each t to its DeformedQuarter.  check is
+    verify.check_isometry (with its reference bound) or verify.check_flatness;
+    its stencil of steps h_s, h_v samples each strip through that strip's own
+    smooth extension, with room to straddle the curved boundary."""
     reports = []
-    h_s = 1e-5 * max(data.length, 1.0)
-    h_v = 1e-6 * max(data.b, 1.0)
-    ref = _metric_reference(data)
     slack = 2.0 * (h_s + h_v)
     for t, quarter in quarters.items():
         for side in ("upper", "lower"):
             s, v = _strip_grid(data, n_s, n_half, side, eps)
-            rep = verify.check_isometry(
-                quarter.sampler(side, slack), ref, s, v, h_s, h_v, tol,
-                label=f"isometry t={t:g} {side}")
-            reports.append(rep)
-    return reports
-
-
-def _flatness_checks(data, quarters, n_s, n_half, eps, tol):
-    reports = []
-    h_s = 1e-4 * max(data.length, 1.0)
-    h_v = 1e-4 * max(data.b, 1.0)
-    slack = 2.0 * (h_s + h_v)
-    for t, quarter in quarters.items():
-        for side in ("upper", "lower"):
-            s, v = _strip_grid(data, n_s, n_half, side, eps)
-            rep = verify.check_flatness(
-                quarter.sampler(side, slack), s, v, h_s, h_v, tol,
-                label=f"flatness t={t:g} {side}")
-            reports.append(rep)
+            reports.append(check(
+                quarter.sampler(side, slack), s_values=s, v_values=v,
+                h_s=h_s, h_v=h_v, threshold=tol,
+                label=f"{name} t={t:g} {side}"))
     return reports
 
 
@@ -414,11 +403,17 @@ def _cmd_verify(args) -> int:
 
     def at(*t_values):
         return {t: quarters[t] for t in t_values}
+    isometry = functools.partial(verify.check_isometry,
+                                 reference=_metric_reference(data))
     reports = []
-    reports += _isometry_checks(data, at(0.0, 0.25, 0.5, 0.75, 1.0),
-                                n_s, n_half, eps, tols["isometry"])
-    reports += _flatness_checks(data, at(0.0, 0.5, 1.0),
-                                n_s, n_half, eps, tols["flatness"])
+    reports += _stencil_checks(isometry, "isometry", data,
+                               at(0.0, 0.25, 0.5, 0.75, 1.0), n_s, n_half, eps,
+                               1e-5 * max(data.length, 1.0),
+                               1e-6 * max(data.b, 1.0), tols["isometry"])
+    reports += _stencil_checks(verify.check_flatness, "flatness", data,
+                               at(0.0, 0.5, 1.0), n_s, n_half, eps,
+                               1e-4 * max(data.length, 1.0),
+                               1e-4 * max(data.b, 1.0), tols["flatness"])
     reports += _structure_checks(data, at(0.0, 0.3, 0.7, 1.0),
                                  n_s, eps, tols)
     reports += _box_topology_checks(data, n_s, n_v)[0]

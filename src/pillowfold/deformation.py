@@ -22,10 +22,11 @@ import numpy as np
 from .curves import ProfileCrease
 from .errors import DomainError, IoError, OutOfDomain, ScheduleViolation
 from .mesh import TriMesh, assemble_reflected
-from .pillowbox import XI_LOWER
 from .profiles import FundamentalData, ProfileFunction, _MonotoneMap
 
 _T_TOL = 1e-12
+
+XI_LOWER = np.array([0.0, -1.0, 0.0])
 
 
 class DeformationSchedule:
@@ -144,8 +145,23 @@ def validate_schedule(data: FundamentalData, schedule: DeformationSchedule,
     return ScheduleReport(entries, all(e["passed"] for e in entries))
 
 
+def quarter_domain(data: FundamentalData, s, v, slack: float) -> tuple:
+    """(s, v) as arrays of one shape, after checking v in [zeta - b, zeta]
+    up to a tolerance loosened by slack.  Every quarter map (folded,
+    deformed, developed) is defined on this domain."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
+    z0 = np.asarray(data.zeta.eval(s_arr, 0))
+    tol = 1e-9 * max(data.length, data.b) + slack
+    if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - data.b - tol):
+        raise OutOfDomain("v outside [zeta - b, zeta]")
+    return s_arr, v_arr
+
+
 class DeformedQuarter:
-    """Embedding X(s, v) of one quarter at fold parameter lam, drift mu."""
+    """Embedding X(s, v) = crease(s) + v xi of one quarter at fold parameter
+    lam, drift mu; xi is xi_upper for v >= 0 and xi_lower below.  The folded
+    box is lam = 1 (pillowbox.QuarterParametrization)."""
 
     def __init__(self, data: FundamentalData, lam: float, mu: float = 0.0):
         if not np.isfinite(lam) or not np.isfinite(mu):
@@ -164,27 +180,13 @@ class DeformedQuarter:
                                   -2.0 * self.lam / denom])
         self.xi_lower = XI_LOWER.copy()
 
-    def _domain(self, s, v, domain_slack: float) -> tuple:
-        """(s, v) as arrays of one shape, after checking v in [zeta - b, zeta]
-        up to a tolerance loosened by domain_slack."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-        z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
-        tol = 1e-9 * max(self.length, self.data.b) + domain_slack
-        if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - self.data.b - tol):
-            raise OutOfDomain("v outside [zeta - b, zeta]")
-        return s_arr, v_arr
-
     def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
         """domain_slack loosens the v-domain check; finite-difference
         stencils straddling the curved boundary need a little room."""
-        s_arr, v_arr = self._domain(s, v, domain_slack)
+        s_arr, v_arr = quarter_domain(self.data, s, v, domain_slack)
         base = self.crease.point(s_arr)
         ruling = np.where((v_arr >= 0.0)[..., None], self.xi_upper, self.xi_lower)
         return base + v_arr[..., None] * ruling
-
-    def __call__(self, s, v):
-        return self.X(s, v)
 
     def sampler(self, side: str, slack: float = 0.0):
         """The "upper" or "lower" strip as its own smooth extension
@@ -195,7 +197,7 @@ class DeformedQuarter:
         xi = {"upper": self.xi_upper, "lower": self.xi_lower}[side]
 
         def strip(s, v):
-            s_arr, v_arr = self._domain(s, v, slack)
+            s_arr, v_arr = quarter_domain(self.data, s, v, slack)
             return self.crease.point(s_arr) + v_arr[..., None] * xi
         return strip
 

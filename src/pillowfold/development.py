@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteEvaluation, NonGraph, OutOfDomain
+from .deformation import quarter_domain
+from .errors import DomainError, NonFiniteEvaluation, NonGraph
 from .mesh import TriMesh
 from .profiles import (FundamentalData, ProfileFunction, ValidationReport,
                        _MonotoneMap, safe_sqrt)
@@ -43,18 +44,10 @@ class PlanarDevelopment:
                          np.zeros_like(z0)], axis=-1)
 
     def Y(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-        z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
-        tol = 1e-9 * max(self.length, self.data.b) + domain_slack
-        if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - self.data.b - tol):
-            raise OutOfDomain("v outside [zeta - b, zeta]")
+        s_arr, v_arr = quarter_domain(self.data, s, v, domain_slack)
         out = self.gamma(s_arr)
         out[..., 1] -= v_arr
         return out
-
-    def __call__(self, s, v):
-        return self.Y(s, v)
 
 
 def developing_map(data: FundamentalData) -> PlanarDevelopment:

@@ -229,11 +229,6 @@ def first_fundamental_form(strip: DevelopableStrip, s, v,
     return MetricSample(s_arr, v_arr, (E_m, F_m, G_m), (E_c, F_c, G_c))
 
 
-def dual_strip(strip: DevelopableStrip) -> DevelopableStrip:
-    """Fold the strip to the other side of the crease; an involution."""
-    return strip.dual()
-
-
 def interior_grid(length: float, n: int, eps: float = 1e-3) -> np.ndarray:
     """n samples of [0, L] shrunk by the endpoint guard fraction eps."""
     if n < 3:

@@ -1,11 +1,13 @@
-"""The fully folded box: crease, quarter surface, assembled mesh.
+"""The fully folded box: the lam = 1 quarter, its Frenet strip pair, the mesh.
 
-At the folded state the crease is c(s) = (int_0^s sigma, zeta, zeta) with
-sigma = sqrt(1 - 2 zeta'^2), the ruling of the strip above the crease is the
-constant (0, 0, -1) and below the constant (0, -1, 0).  Both facts follow
-from the strip equations but are used directly here, since the Frenet-based
-formulas degenerate at the interval ends (sigma -> 0) while the surface
-itself stays perfectly smooth there.
+The folded quarter is deformation.DeformedQuarter at lam = 1, mu = 0: the
+crease c(s) = (int_0^s sigma, zeta, zeta) with sigma = sqrt(1 - 2 zeta'^2),
+ruled by the constant (0, 0, -1) above and (0, -1, 0) below.  This module
+adds the same two strips written through the crease's Frenet frame, which the
+curved-fold kernel measures (ruling angles, dual metrics), cos(beta), and
+assemble_box.  The embedding uses the constant rulings, since the
+Frenet-based formulas degenerate at the interval ends (sigma -> 0) while the
+surface itself stays perfectly smooth there.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import ProfileCrease, SIGMA_MIN
-from .errors import OutOfDomain
-from .folding import DevelopableStrip, OrigamiMapRecord
+from .deformation import XI_LOWER, DeformedQuarter
+from .folding import DevelopableStrip
 from .mesh import TriMesh, assemble_reflected
 from .profiles import FundamentalData, safe_sqrt
 
 XI_UPPER = np.array([0.0, 0.0, -1.0])
-XI_LOWER = np.array([0.0, -1.0, 0.0])
 
 
 def crease_curve(data: FundamentalData) -> ProfileCrease:
@@ -45,20 +46,16 @@ def _alpha_functions(data: FundamentalData):
     return alpha, alpha_prime
 
 
-class QuarterParametrization:
-    """Embedding X(s, v) of one quarter of the box, v in [zeta - b, zeta].
+class QuarterParametrization(DeformedQuarter):
+    """One quarter of the folded box: the deformed quarter at lam = 1, mu = 0.
 
-    v >= 0 is the strip that folds down (ruling (0, 0, -1)), v < 0 the strip
-    that folds sideways (ruling (0, -1, 0)); v = 0 is the crease.
+    v >= 0 is the strip that folds down (ruling XI_UPPER), v < 0 the strip
+    that folds sideways (ruling XI_LOWER); v = 0 is the crease.
     """
 
     def __init__(self, data: FundamentalData):
-        self.data = data
-        self.length = data.length
-        self.crease = crease_curve(data)
+        super().__init__(data, 1.0, 0.0)
         alpha, alpha_prime = _alpha_functions(data)
-        self.alpha = alpha
-        self.alpha_prime = alpha_prime
         zeta = data.zeta
         self.upper_strip = DevelopableStrip(
             self.crease, alpha, alpha_prime,
@@ -68,40 +65,14 @@ class QuarterParametrization:
             lambda s: -np.asarray(alpha_prime(s)),
             lambda s: np.asarray(zeta.eval(s, 0)) - data.b, 0.0)
 
-    def record(self) -> OrigamiMapRecord:
-        return OrigamiMapRecord(self.upper_strip, self.lower_strip)
-
     def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-        z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
-        tol = 1e-9 * max(self.length, self.data.b) + domain_slack
-        if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - self.data.b - tol):
-            raise OutOfDomain("v outside [zeta - b, zeta]")
-        base = self.crease.point(s_arr)
-        ruling = np.where((v_arr >= 0.0)[..., None], XI_UPPER, XI_LOWER)
-        return base + v_arr[..., None] * ruling
-
-    def __call__(self, s, v):
-        return self.X(s, v)
-
-    def sampler(self, slack: float = 0.0):
-        return lambda s, v: self.X(s, v, domain_slack=slack)
-
-    def vertical_end(self, s) -> np.ndarray:
-        z0 = np.asarray(self.data.zeta.eval(np.atleast_1d(np.asarray(s, float)), 0))
-        return self.X(s, z0 - self.data.b)
-
-    def horizontal_end(self, s) -> np.ndarray:
-        z0 = np.asarray(self.data.zeta.eval(np.atleast_1d(np.asarray(s, float)), 0))
-        return self.X(s, z0)
+        # DeformedQuarter.X; defined here too so that perfbench's tracer,
+        # which hooks methods by class and name, times the folded quarter.
+        return super().X(s, v, domain_slack)
 
     def cos_beta(self, s):
         """cos of the ruling angle, equal to -zeta' on both strips."""
         return -np.asarray(self.data.zeta.eval(s, 1))
-
-    def sigma(self, s):
-        return self.crease.sigma(s)
 
 
 def quarter_parametrization(data: FundamentalData) -> QuarterParametrization:

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from pillowfold.errors import WeldFailure
+from pillowfold.deformation import DeformedQuarter
+from pillowfold.errors import ScheduleViolation, WeldFailure
 from pillowfold.pillowbox import (XI_LOWER, XI_UPPER, assemble_box,
                                   crease_curve, quarter_parametrization)
 from pillowfold.profiles import FundamentalData, ProfileFunction
 from pillowfold.verify import enclosed_volume, topology_report
 
 import oracles as oc
+from strategies import admissible_data
 
 
 def test_crease_curve_against_quadrature_oracle():
@@ -96,3 +99,38 @@ def test_weld_failure_on_open_profile():
     bad = FundamentalData(1.0, ProfileFunction.polynomial([0.3], 2.0))
     with pytest.raises(WeldFailure):
         assemble_box(bad, n_s=8, n_v=4)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(admissible_data())
+def test_folded_quarter_is_the_lam_1_deformed_quarter(data):
+    quarter = quarter_parametrization(data)
+    assert isinstance(quarter, DeformedQuarter)
+    assert quarter.lam == 1.0 and quarter.mu == 0.0
+    deformed = DeformedQuarter(data, 1.0)
+    # both ends, the crease row v = 0 and both rims
+    s = np.linspace(0.0, data.length, 9)
+    z0 = np.asarray(data.zeta.eval(s, 0))
+    vmat = np.stack([z0 - data.b, 0.5 * (z0 - data.b), np.zeros_like(z0),
+                     0.5 * z0, z0])
+    smat = np.broadcast_to(s, vmat.shape)
+    assert np.array_equal(quarter.X(smat, vmat), deformed.X(smat, vmat))
+    assert np.array_equal(quarter.vertical_end(s), deformed.vertical_end(s))
+    assert np.array_equal(quarter.horizontal_end(s),
+                          deformed.horizontal_end(s))
+    # the Frenet strip pair rules the quarter by the same constant rulings
+    inner = np.linspace(0.1, 0.9, 9) * data.length
+    assert np.max(np.abs(quarter.upper_strip.ruling(inner)
+                         - deformed.xi_upper)) < 1e-12
+    assert np.max(np.abs(quarter.lower_strip.ruling(inner)
+                         - deformed.xi_lower)) < 1e-12
+
+
+def test_folded_quarter_refuses_a_negative_fold_margin():
+    # end slope 1/hypot(1, 0.7) > 1/sqrt2: sigma^2 = 1 - 2 zeta'^2 reaches
+    # -0.339 near the ends, so the folded state does not exist
+    data = FundamentalData.from_descriptor(
+        {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
+                            "width": 0.7}})
+    with pytest.raises(ScheduleViolation):
+        quarter_parametrization(data)
