@@ -35,9 +35,9 @@ class TriMesh:
     """Vertices (n, 3) float64 and triangles (m, 3) int64, 0-based.
 
     face_labels, where the layout is known, is (m, 2): each face's slab and
-    piece (see above).  The undirected edge table is computed on first use
-    and kept; vertices and faces are not reassigned after construction, so
-    it cannot go stale.
+    piece (see above).  The undirected edge table and the face normals are
+    computed on first use and kept; vertices and faces are not reassigned
+    after construction, so they cannot go stale.
     """
 
     vertices: np.ndarray
@@ -46,6 +46,8 @@ class TriMesh:
     face_labels: np.ndarray | None = field(default=None, compare=False)
     _edge_table: tuple | None = field(default=None, init=False, compare=False,
                                       repr=False)
+    _normals: tuple | None = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -74,11 +76,11 @@ class TriMesh:
     def _edge_keys(self, undirected: bool) -> np.ndarray:
         """Each face edge (i, j) as the int64 key i * n_vertices + j, with
         i < j when undirected."""
-        e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                            self.faces[:, [2, 0]]])
+        f = self.faces.T
+        i, j = np.concatenate(f), np.concatenate(f[[1, 2, 0]])
         if undirected:
-            e = np.sort(e, axis=1)
-        return e[:, 0] * self.n_vertices + e[:, 1]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        return i * self.n_vertices + j
 
     def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edges (k, 2), sorted, with the number of incident
@@ -114,8 +116,8 @@ class TriMesh:
 
     def orientation_consistent(self) -> bool:
         """True when no directed edge is traversed twice in the same sense."""
-        keys = self._edge_keys(undirected=False)
-        return bool(np.unique(keys).size == keys.size)
+        keys = np.sort(self._edge_keys(undirected=False))
+        return not np.any(keys[1:] == keys[:-1])
 
     def signed_volume(self) -> float:
         """Sum of det(p0, p1, p2) / 6 over the triangles: the enclosed volume
@@ -124,10 +126,21 @@ class TriMesh:
         return float(np.einsum('ij,ij->', p[:, 0],
                                np.cross(p[:, 1], p[:, 2])) / 6.0)
 
+    def face_normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each face's normal cross(p1 - p0, p2 - p0), (m, 3), and its
+        length, (m,); read-only arrays computed once per mesh.  Every
+        operation is per face, so the rows of a subset carry the same bits
+        as the same products taken over that subset alone."""
+        if self._normals is None:
+            p = self.vertices[self.faces]
+            normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+            length = np.linalg.norm(normal, axis=1)
+            normal.flags.writeable = length.flags.writeable = False
+            self._normals = (normal, length)
+        return self._normals
+
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.faces]
-        return 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+        return 0.5 * self.face_normals()[1]
 
     def translated(self, offset) -> "TriMesh":
         return TriMesh(self.vertices + np.asarray(offset, dtype=float),
@@ -356,36 +369,56 @@ def self_intersection_pairs(mesh: TriMesh,
     """Face pairs (i, j), i < j, sorted, that share no vertex index and meet
     along a segment longer than eps = contact_tol_factor x the mesh diagonal.
 
-    Broad phase: _box_pairs over the face labels.  Narrow phase, in batches:
-    Moller's interval test, which counts triangles that cross transversally
-    and also triangles that touch along an edge whose ends are not shared
-    vertex indices (all 752 hits of the 96x48 demo at t = 0.5 are such
-    contacts, of a piece and its rho_H image along a grid row in z = 0).
-    Pairs coplanar within eps, or meeting in a point or not at all, do not
-    count."""
+    Broad phase: _box_pairs over the face labels, on boxes taken over each
+    face's three corners.  Two filters then drop pairs that cannot hit: pairs
+    of level faces at one z (below), and pairs that share a vertex index.
+    Narrow phase, in batches: Moller's interval test (_tri_tri_batch), which
+    counts triangles that cross transversally and also triangles that touch
+    along an edge whose ends are not shared vertex indices (all 752 hits of
+    the 96x48 demo at t = 0.5 are such contacts, of a piece and its rho_H
+    image along a grid row in z = 0).  Pairs coplanar within eps, or meeting
+    in a point or not at all, do not count.
+
+    The z-level rule: a face whose three corners have equal z has the normal
+    (+-0, +-0, nz) to the bit, since each z difference is +-0.  The plane
+    distance of a corner at the same z (+0.0 equals -0.0) is then +-0, so
+    the narrow phase calls two such faces at one z coplanar and rejects them
+    (and where a product overflows, the NaN it makes rejects them too).  The
+    rule drops these pairs before the narrow phase, which changes no hit; it
+    is where the flat state's candidates go, as all its faces lie in z = 0.
+    """
     if mesh.n_faces < 2:
         return []
     P = mesh.vertices[mesh.faces]          # (F, 3, 3)
+    p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
+    lo = np.minimum(np.minimum(p0, p1), p2)
+    hi = np.maximum(np.maximum(p0, p1), p2)
+    z0, z1, z2 = P[:, :, 2].T
+    level_z = np.where((z0 == z1) & (z1 == z2), z0, np.nan)
+    normal, length = mesh.face_normals()
     eps = contact_tol_factor * max(mesh.diagonal(), 1e-300)
     hits = []
-    for i, j in _box_pairs(P.min(axis=1), P.max(axis=1), mesh.face_labels,
-                           eps):
-        # drop pairs sharing any vertex index
+    for i, j in _box_pairs(lo, hi, mesh.face_labels, eps):
+        keep = level_z[i] != level_z[j]     # NaN (not level) equals nothing
+        i, j = i[keep], j[keep]
         fi, fj = mesh.faces[i], mesh.faces[j]
         shares = np.any(fi[:, :, None] == fj[:, None, :], axis=(1, 2))
         i, j = i[~shares], j[~shares]
-        mask = _tri_tri_batch(P[i], P[j], eps)
-        hits += zip(i[mask].tolist(), j[mask].tolist())
+        hit = _tri_tri_batch(P, normal, length, i, j, eps)
+        hits += zip(i[hit].tolist(), j[hit].tolist())
     return sorted(hits)
 
 
 def _plane_side(T_other: np.ndarray, origin: np.ndarray, normal: np.ndarray,
                 thresh: np.ndarray) -> tuple:
+    """Plane distances d (times the normal's length) of T_other's corners,
+    and where the test is settled: all corners strictly on one side of the
+    plane, or all within thresh of it."""
     d = np.einsum('mkj,mj->mk', T_other - origin[:, None, :], normal)
     pos = np.all(d > thresh[:, None], axis=1)
     neg = np.all(d < -thresh[:, None], axis=1)
     onp = np.all(np.abs(d) <= thresh[:, None], axis=1)
-    return d, pos | neg, onp
+    return d, pos | neg | onp
 
 
 def _interval_on_line(T: np.ndarray, d: np.ndarray, thresh: np.ndarray,
@@ -412,30 +445,38 @@ def _interval_on_line(T: np.ndarray, d: np.ndarray, thresh: np.ndarray,
     return lo, hi, valid
 
 
-def _tri_tri_batch(T1: np.ndarray, T2: np.ndarray, eps: float) -> np.ndarray:
-    """True where triangle pairs intersect transversally with crossing-segment
-    overlap longer than eps."""
-    n1 = np.cross(T1[:, 1] - T1[:, 0], T1[:, 2] - T1[:, 0])
-    n2 = np.cross(T2[:, 1] - T2[:, 0], T2[:, 2] - T2[:, 0])
-    th1 = eps * np.linalg.norm(n1, axis=1)
-    th2 = eps * np.linalg.norm(n2, axis=1)
+def _tri_tri_batch(P: np.ndarray, normal: np.ndarray, length: np.ndarray,
+                   i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
+    """True where faces i and j (corners P, normals and their lengths as
+    TriMesh.face_normals gives them) intersect transversally with
+    crossing-segment overlap longer than eps.
 
-    d2, sep1, cop1 = _plane_side(T2, T1[:, 0], n1, th1)
-    d1, sep2, cop2 = _plane_side(T1, T2[:, 0], n2, th2)
-    alive = ~(sep1 | sep2 | cop1 | cop2)
-    if not np.any(alive):
-        return alive
-
-    D = np.cross(n1, n2)
+    Staged: face j's corners against face i's plane, then face i's against
+    face j's on the pairs left, then the intersection line and the two
+    intervals on the pairs both sides leave.  Each stage works per pair, so
+    it gives each pair the bits a single pass over all pairs gives."""
+    hit = np.zeros(len(i), dtype=bool)
+    k = np.arange(len(i))
+    th_i, th_j = eps * length[i], eps * length[j]
+    d2, settled = _plane_side(P[j], P[i, 0], normal[i], th_i)
+    keep = ~settled
+    k, i, j, th_i, th_j, d2 = (a[keep] for a in (k, i, j, th_i, th_j, d2))
+    d1, settled = _plane_side(P[i], P[j, 0], normal[j], th_j)
+    keep = ~settled
+    k, i, j, th_i, th_j, d1, d2 = (a[keep] for a in (k, i, j, th_i, th_j,
+                                                     d1, d2))
+    D = np.cross(normal[i], normal[j])
     Dn = np.linalg.norm(D, axis=1)
-    near_parallel = Dn <= 1e-14 * np.linalg.norm(n1, axis=1) * np.linalg.norm(n2, axis=1)
-    alive &= ~near_parallel
+    keep = ~(Dn <= 1e-14 * length[i] * length[j])     # not near parallel
+    k, i, j, th_i, th_j, d1, d2, D, Dn = (
+        a[keep] for a in (k, i, j, th_i, th_j, d1, d2, D, Dn))
     Dhat = D / np.where(Dn > 0, Dn, 1.0)[:, None]
 
-    lo1, hi1, v1 = _interval_on_line(T1, d1, th2, Dhat)
-    lo2, hi2, v2 = _interval_on_line(T2, d2, th1, Dhat)
+    lo1, hi1, v1 = _interval_on_line(P[i], d1, th_j, Dhat)
+    lo2, hi2, v2 = _interval_on_line(P[j], d2, th_i, Dhat)
     overlap = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
-    return alive & v1 & v2 & (overlap > eps)
+    hit[k] = v1 & v2 & (overlap > eps)
+    return hit
 
 
 def min_triangle_area_check(mesh: TriMesh) -> None:
@@ -459,14 +500,18 @@ def _fmt(x: float) -> str:
 
 
 def export_obj(mesh: TriMesh, path) -> None:
-    """ASCII OBJ, v/f records, 1-based indices, 9 significant digits."""
+    """ASCII OBJ, v/f records, 1-based indices, 9 significant digits.
+
+    Each block is one %-format over the flat list of its numbers; '%.9g'
+    and '%d' give the same text as the format spec '.9g' and str, so the
+    bytes are those of one f-string per record."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("# pillowfold triangle mesh\n")
-            fh.write("".join(f"v {x:.9g} {y:.9g} {z:.9g}\n"
-                             for x, y, z in mesh.vertices.tolist()))
-            fh.write("".join(f"f {a} {b} {c}\n"
-                             for a, b, c in (mesh.faces + 1).tolist()))
+            fh.write(("v %.9g %.9g %.9g\n" * mesh.n_vertices)
+                     % tuple(mesh.vertices.ravel().tolist()))
+            fh.write(("f %d %d %d\n" * mesh.n_faces)
+                     % tuple((mesh.faces + 1).ravel().tolist()))
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

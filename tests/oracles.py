@@ -4,12 +4,14 @@ Everything here is computed without the library's own quadrature or
 differentiation: composite Simpson on fixed grids, plain finite differences,
 and closed forms.  The frozen constants were produced by these same oracles
 (cross-checked at much higher resolution) before the library existed; tests
-compare library output against them, never the other way round.  The one
-exceptions are the intersection oracle, which reuses the library's
-triangle-pair test but none of its candidate search (it tries every pair),
-the assembly oracle, which calls the library's surface map and
+compare library output against them, never the other way round.  The
+exceptions are: the intersection oracle, a one-pass copy of the library's
+triangle-pair test (Moller's interval test, as it was before the library
+staged it) run on every pair, with no candidate search or filter; the OBJ
+oracle, the f-string writer the library's one-format writer must match byte
+for byte; the assembly oracle, which calls the library's surface map and
 tolerance factors but samples, triangulates and welds with plain loops and a
-union-find, and the separate-call Simpson oracle, the batched adaptive
+union-find; and the separate-call Simpson oracle, the batched adaptive
 Simpson with one integrand call per point array, against which the library's
 one-call-per-sweep version must agree to the bit.
 """
@@ -19,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from pillowfold.errors import QuadratureFailure
-from pillowfold.mesh import (_DEDUPE_FACTOR, _WELD_TOL_FACTOR,
-                             _tri_tri_batch)
+from pillowfold.mesh import _DEDUPE_FACTOR, _WELD_TOL_FACTOR
 from pillowfold.quadrature import (_WIDTH_FLOOR_FACTOR, MAX_PANELS,
                                    _ensure_finite)
 
@@ -177,18 +178,94 @@ def unit_cube_mesh():
     return v, f
 
 
+def _plane_side(T_other, origin, normal, thresh) -> tuple:
+    d = np.einsum('mkj,mj->mk', T_other - origin[:, None, :], normal)
+    pos = np.all(d > thresh[:, None], axis=1)
+    neg = np.all(d < -thresh[:, None], axis=1)
+    onp = np.all(np.abs(d) <= thresh[:, None], axis=1)
+    return d, pos | neg, onp
+
+
+def _interval_on_line(T, d, thresh, axis_dir) -> tuple:
+    m = T.shape[0]
+    proj = np.einsum('mkj,mj->mk', T, axis_dir)
+    cand = np.full((m, 6), np.nan)
+    on_plane = np.abs(d) <= thresh[:, None]
+    cand[:, :3] = np.where(on_plane, proj, np.nan)
+    for e, (a, bb) in enumerate(((0, 1), (1, 2), (2, 0))):
+        da, db = d[:, a], d[:, bb]
+        crossing = ((da > thresh) & (db < -thresh)) \
+            | ((da < -thresh) & (db > thresh))
+        t = da / np.where(crossing, da - db, 1.0)
+        pt = proj[:, a] + t * (proj[:, bb] - proj[:, a])
+        cand[:, 3 + e] = np.where(crossing, pt, np.nan)
+    valid = np.any(np.isfinite(cand), axis=1)
+    lo = np.nanmin(np.where(np.isfinite(cand), cand, np.inf), axis=1)
+    hi = np.nanmax(np.where(np.isfinite(cand), cand, -np.inf), axis=1)
+    return lo, hi, valid
+
+
+def tri_tri_pairs(T1, T2, eps: float) -> np.ndarray:
+    """True where the triangle pairs (T1[k], T2[k]) cross, or touch along an
+    edge, with crossing-segment overlap longer than eps: both plane tests,
+    the intersection line and both intervals on every pair, the normals
+    taken per pair."""
+    n1 = np.cross(T1[:, 1] - T1[:, 0], T1[:, 2] - T1[:, 0])
+    n2 = np.cross(T2[:, 1] - T2[:, 0], T2[:, 2] - T2[:, 0])
+    th1 = eps * np.linalg.norm(n1, axis=1)
+    th2 = eps * np.linalg.norm(n2, axis=1)
+
+    d2, sep1, cop1 = _plane_side(T2, T1[:, 0], n1, th1)
+    d1, sep2, cop2 = _plane_side(T1, T2[:, 0], n2, th2)
+    alive = ~(sep1 | sep2 | cop1 | cop2)
+    if not np.any(alive):
+        return alive
+
+    D = np.cross(n1, n2)
+    Dn = np.linalg.norm(D, axis=1)
+    near_parallel = Dn <= 1e-14 * np.linalg.norm(n1, axis=1) \
+        * np.linalg.norm(n2, axis=1)
+    alive &= ~near_parallel
+    Dhat = D / np.where(Dn > 0, Dn, 1.0)[:, None]
+
+    lo1, hi1, v1 = _interval_on_line(T1, d1, th2, Dhat)
+    lo2, hi2, v2 = _interval_on_line(T2, d2, th1, Dhat)
+    overlap = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
+    return alive & v1 & v2 & (overlap > eps)
+
+
 def brute_force_intersections(mesh, contact_tol_factor: float) -> list:
-    """Intersecting triangle pairs (i, j), i < j, sorted: the narrow-phase
-    test on every pair that shares no vertex, with no broad phase.  O(F^2),
-    for small meshes."""
+    """Intersecting triangle pairs (i, j), i < j, sorted: tri_tri_pairs on
+    every pair that shares no vertex, with no broad phase.  O(F^2), for
+    small meshes."""
     i, j = np.triu_indices(mesh.n_faces, 1)
     fi, fj = mesh.faces[i], mesh.faces[j]
     shares = np.any(fi[:, :, None] == fj[:, None, :], axis=(1, 2))
     i, j = i[~shares], j[~shares]
     P = mesh.vertices[mesh.faces]
     eps = contact_tol_factor * max(mesh.diagonal(), 1e-300)
-    hit = _tri_tri_batch(P[i], P[j], eps)
+    hit = tri_tri_pairs(P[i], P[j], eps)
     return sorted(zip(i[hit].tolist(), j[hit].tolist()))
+
+
+def fstring_obj(vertices, faces) -> str:
+    """The OBJ text of a mesh, one f-string per record: header, then v
+    records with 9 significant digits, then f records with 1-based indices."""
+    return ("# pillowfold triangle mesh\n"
+            + "".join(f"v {x:.9g} {y:.9g} {z:.9g}\n"
+                      for x, y, z in np.asarray(vertices).tolist())
+            + "".join(f"f {a} {b} {c}\n"
+                      for a, b, c in (np.asarray(faces) + 1).tolist()))
+
+
+def directed_edges_once(faces) -> bool:
+    """True when no directed edge (a, b) of the faces occurs twice: a dict
+    count over the edges of every face."""
+    seen = {}
+    for tri in np.asarray(faces).tolist():
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            seen[a, b] = seen.get((a, b), 0) + 1
+    return all(n == 1 for n in seen.values())
 
 
 def loop_assembly(X, data, n_s: int, n_v: int) -> tuple:

@@ -256,6 +256,129 @@ def test_labelled_broad_phase_on_admissible_states(data, t_open):
         _broad_phase_checked_by_scan(mesh, mesh.face_labels)
 
 
+def _narrow_phase_input(mesh: TriMesh) -> list:
+    """The pairs self_intersection_pairs hands to the narrow phase, sorted;
+    its hits must equal the oracle's."""
+    seen = []
+    batch = mesh_module._tri_tri_batch
+
+    def spy(P, normal, length, i, j, eps):
+        seen.extend(zip(i.tolist(), j.tolist()))
+        return batch(P, normal, length, i, j, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_tri_tri_batch", spy)
+        _pairs_checked_by_oracle(mesh)
+    return sorted(seen)
+
+
+def _unlabelled_narrow_phase_input(mesh: TriMesh) -> list:
+    """By plain loops: the face pairs whose boxes overlap within eps, that
+    share no vertex index, and that are not two faces with all corners at
+    one z (+0.0 equals -0.0)."""
+    P = mesh.vertices[mesh.faces]
+    lo, hi = P.min(axis=1), P.max(axis=1)
+    eps = _CONTACT_FACTOR * mesh.diagonal()
+    level = [set(z) if len(set(z)) == 1 else None
+             for z in P[:, :, 2].tolist()]
+    faces = [set(f) for f in mesh.faces.tolist()]
+    return [(i, j) for i in range(mesh.n_faces)
+            for j in range(i + 1, mesh.n_faces)
+            if not faces[i] & faces[j]
+            and (level[i] is None or level[i] != level[j])
+            and np.all((lo[i] <= hi[j] + eps) & (lo[j] <= hi[i] + eps))]
+
+
+_LEVELS = (0.0, -0.0, 1.0)
+_SIGNED_NUDGES = _NUDGES + tuple(-d for d in _NUDGES)
+
+
+@st.composite
+def level_soups(draw) -> TriMesh:
+    """Faces on the levels z = +-0 (the sign drawn per corner) and z = 1,
+    one corner sometimes nudged off by about the contact tolerance, or on
+    the tilted plane z = x / 2 + y / 4; corners may repeat or line up, which
+    gives zero-area faces.  Then slivers 1e-3 wide on a level, tilted by a
+    nudge of the apex; copies of some faces over copied vertices (a double
+    cover, either orientation); and faces over any vertices."""
+    xy = st.tuples(_LATTICE, _LATTICE)
+    verts, faces = [], []
+
+    def add_face(corners):
+        faces.append([len(verts), len(verts) + 1, len(verts) + 2])
+        verts.extend(corners)
+
+    def level(z):
+        return draw(st.sampled_from((0.0, -0.0))) if z == 0.0 else z
+
+    for _ in range(draw(st.integers(1, 12))):
+        plane = draw(st.sampled_from(_LEVELS + ("tilted",)))
+        corners = [[x, y, x / 2 + y / 4 if plane == "tilted" else level(plane)]
+                   for x, y in draw(st.lists(xy, min_size=3, max_size=3))]
+        corners[0][2] += draw(st.sampled_from((0.0,) * 4 + _SIGNED_NUDGES))
+        add_face(corners)
+    for _ in range(draw(st.integers(0, 3))):
+        (x0, y0), (x1, y1) = draw(st.lists(xy, min_size=2, max_size=2,
+                                           unique=True))
+        z = draw(st.sampled_from(_LEVELS))
+        apex = [(x0 + x1) / 2 - 1e-3 * (y1 - y0),
+                (y0 + y1) / 2 + 1e-3 * (x1 - x0),
+                z + draw(st.sampled_from(_SIGNED_NUDGES))]
+        add_face([[x0, y0, level(z)], [x1, y1, level(z)], apex])
+    for k in draw(st.lists(st.integers(0, len(faces) - 1), max_size=3)):
+        corners = [list(verts[i]) for i in faces[k]]
+        add_face(corners[::-1] if draw(st.booleans()) else corners)
+    index = st.integers(0, len(verts) - 1)
+    faces += draw(st.lists(st.lists(index, min_size=3, max_size=3,
+                                    unique=True), max_size=8))
+    return TriMesh(np.array(verts), np.array(faces))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(level_soups())
+def test_narrow_phase_skips_exactly_the_level_pairs_at_one_z(mesh):
+    # nudged, tilted and sliver faces reach the narrow phase; two faces
+    # with all corners at one z do not, whatever the signs of their zeros
+    assert _narrow_phase_input(mesh) == _unlabelled_narrow_phase_input(mesh)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_NARROW_CHUNK", 3)
+        assert self_intersection_pairs(mesh) == oc.brute_force_intersections(
+            mesh, _CONTACT_FACTOR)
+
+
+def test_near_level_slivers_cross():
+    # two slivers 1e-3 wide in z = 0, crossing at the origin, each apex
+    # lifted by 3e-9, below the contact tolerance (5.7e-9): each straddles
+    # the other's plane, so they cross along a segment about 7e-4 long
+    verts = np.array([[-2.0, 0.0, 0.0], [2.0, 0.0, -0.0], [0.0, 1e-3, 3e-9],
+                      [0.0, -2.0, -0.0], [0.0, 2.0, 0.0], [-1e-3, 0.0, 3e-9]])
+    mesh = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+    assert _narrow_phase_input(mesh) == [(0, 1)]
+    assert self_intersection_pairs(mesh) == [(0, 1)]
+    # with both apexes in z = 0 the pair is level at one z, and coplanar
+    verts[[2, 5], 2] = [0.0, -0.0]
+    assert _narrow_phase_input(TriMesh(verts, mesh.faces)) == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_double_rectangle_never_reaches_the_narrow_phase(n):
+    rect = double_rectangle_mesh(oc.TWO_A, 2.0, n)
+    assert _narrow_phase_input(rect) == []
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data())
+def test_flat_states_never_reach_the_narrow_phase(data):
+    # every face of the flat state lies in z = 0, with +0.0 and -0.0 mixed
+    mesh = assemble_deformed(data, DeformationSchedule.linear(), 1.0, 12, 6)
+    assert np.all(mesh.vertices[:, 2] == 0.0)
+    P = mesh.vertices[mesh.faces]
+    eps = _CONTACT_FACTOR * mesh.diagonal()
+    assert sum(len(i) for i, _ in _box_pairs(P.min(axis=1), P.max(axis=1),
+                                             mesh.face_labels, eps)) > 0
+    assert _narrow_phase_input(mesh) == []
+
+
 def test_face_labels_of_the_double_rectangle():
     rect = double_rectangle_mesh(oc.TWO_A, 2.0, 6)
     # slab = column of cells, piece = sheet; two triangles per cell and sheet
@@ -329,6 +452,42 @@ def test_obj_format(tmp_path):
     assert flines[0] == "f 1 3 2"
     back = load_obj(path)
     assert np.array_equal(back.vertices, v)
+
+
+def test_obj_matches_the_fstring_writer(tmp_path):
+    corners = np.array([[-0.0, 5e-324, 1e21], [0.1 + 0.2, -1e-300, 1.0],
+                        [np.pi, -2.5e-7, 123456789.0]])
+    meshes = [TriMesh(corners, np.array([[0, 1, 2], [2, 1, 0]])),
+              TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)),
+              assemble_deformed(FundamentalData.demo(),
+                                DeformationSchedule.linear(), 0.5, 96, 48)]
+    for k, mesh in enumerate(meshes):
+        path = tmp_path / f"{k}.obj"
+        export_obj(mesh, path)
+        assert path.read_bytes() == oc.fstring_obj(
+            mesh.vertices, mesh.faces).encode("ascii")
+
+
+def test_orientation_of_closed_meshes_with_one_flipped_face():
+    for mesh in (TriMesh(*oc.unit_cube_mesh()),
+                 double_rectangle_mesh(oc.TWO_A, 2.0, 3),
+                 assemble_box(FundamentalData.demo(), 8, 4)):
+        assert mesh.orientation_consistent()
+        for k in range(0, mesh.n_faces, 7):
+            faces = mesh.faces.copy()
+            faces[k] = faces[k, ::-1]
+            assert not TriMesh(mesh.vertices, faces).orientation_consistent()
+            assert not oc.directed_edges_once(faces)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(triangle_soups(), st.integers(0, 39))
+def test_orientation_matches_a_directed_edge_count(mesh, k):
+    faces = mesh.faces.copy()
+    faces[k % len(faces)] = faces[k % len(faces), ::-1]
+    for f in (mesh.faces, faces):
+        assert TriMesh(mesh.vertices, f).orientation_consistent() \
+            == oc.directed_edges_once(f)
 
 
 def test_svg_pattern_output(tmp_path):
