@@ -1,34 +1,26 @@
 """Command line interface.
 
-Subcommands: validate, build, develop, deform, family, verify.  Reports go to
-stdout as JSON; artifact files (OBJ, SVG, trace JSON) go into --out.  Exit
-code 0 means every requested check passed.  Output depends only on inputs and
-flags, never on wall clock or randomness.
+Subcommands: validate, build, develop, deform, family, verify.  Each takes
+only the flags it reads, hands them to the library (the checks, their grids
+and thresholds live in verify), and emits the result: reports go to stdout as
+JSON; artifact files (OBJ, SVG, trace JSON) go into --out.  Exit code 0 means
+every requested check passed.  Output depends only on inputs and flags, never
+on wall clock or randomness.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import deformation, development, folding, mesh, pillowbox, verify
+from . import deformation, mesh, verify
 from .deformation import DeformationSchedule
 from .errors import DomainError, IoError, PillowFoldError
 from .profiles import FundamentalData, validate_fundamental_data
-
-_TOL_DEFAULTS = {
-    "isometry": 1e-6,
-    "flatness": 1e-5,
-    "planarity": 1e-8,
-    "collapse": 1e-8,
-    "depth": 1e-8,
-    "image": 1e-6,
-}
 
 
 def _read_json(path: str) -> dict:
@@ -80,7 +72,7 @@ def _parse_numbers(text: str) -> list[float]:
 
 
 def _parse_tol(pairs, parser) -> dict:
-    tols = dict(_TOL_DEFAULTS)
+    tols = dict(verify.TOLERANCES)
     for item in pairs or []:
         if "=" not in item:
             parser.error(f"--tol expects name=value, got {item!r}")
@@ -111,177 +103,6 @@ def _fmt_t(t: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# grids for the checks
-# ---------------------------------------------------------------------------
-
-def _strip_grid(data: FundamentalData, n_s: int, n_half: int, side: str,
-                eps: float):
-    """Interior (s, v) grid for one strip; v stays clear of crease and rim."""
-    s = folding.interior_grid(data.length, n_s, eps)
-    frac = np.linspace(0.08, 0.92, n_half)
-    z0 = np.asarray(data.zeta.eval(s, 0))
-    if side == "upper":
-        v = z0[:, None] * frac
-    else:
-        v = -(data.b - z0)[:, None] * frac
-    return s, v
-
-
-def _metric_reference(data: FundamentalData):
-    def reference(smat, vmat):
-        z1 = np.asarray(data.zeta.eval(smat, 1))
-        return np.ones_like(z1), -z1, np.ones_like(z1)
-    return reference
-
-
-def _stencil_checks(check, name, data, quarters, n_s, n_half, eps,
-                    h_s, h_v, tol):
-    """One report "{name} t={t} {side}" per state and strip, in that order.
-
-    quarters maps each t to its DeformedQuarter.  check is
-    verify.check_isometry (with its reference bound) or verify.check_flatness;
-    its stencil of steps h_s, h_v samples each strip through that strip's own
-    smooth extension, with room to straddle the curved boundary."""
-    reports = []
-    slack = 2.0 * (h_s + h_v)
-    for t, quarter in quarters.items():
-        for side in ("upper", "lower"):
-            s, v = _strip_grid(data, n_s, n_half, side, eps)
-            reports.append(check(
-                quarter.sampler(side, slack), s_values=s, v_values=v,
-                h_s=h_s, h_v=h_v, threshold=tol,
-                label=f"{name} t={t:g} {side}"))
-    return reports
-
-
-def _structure_checks(data, quarters, n_s, eps, tols):
-    """Crease height/planarity, end confinement, ruling norms."""
-    reports = []
-    s = folding.interior_grid(data.length, n_s, eps)
-    z0 = np.asarray(data.zeta.eval(s, 0))
-    for t, quarter in quarters.items():
-        c = quarter.crease.point(s)
-        worst_y = float(np.max(np.abs(c[:, 1] - z0)))
-        reports.append(verify.CheckReport(
-            f"crease-height t={t:g}", f"{s.size}", worst_y,
-            (float(s[np.argmax(np.abs(c[:, 1] - z0))]), 0.0), 1e-9,
-            worst_y <= 1e-9))
-        plan = verify.check_crease_planarity(c)
-        gap = abs(plan.lambda_estimate - quarter.lam)
-        reports.append(verify.CheckReport(
-            f"crease-plane t={t:g}", f"{s.size}", gap, (quarter.lam, 0.0),
-            tols["planarity"], gap <= tols["planarity"]))
-        vert = quarter.vertical_end(s)
-        worst_b = float(np.max(np.abs(vert[:, 1] - data.b)))
-        reports.append(verify.CheckReport(
-            f"vertical-end t={t:g}", f"{s.size}", worst_b, (0.0, 0.0), 1e-9,
-            worst_b <= 1e-9))
-        ends = quarter.crease.point(np.array([0.0, data.length]))
-        worst_axis = float(np.max(np.abs(ends[:, 1:])))
-        reports.append(verify.CheckReport(
-            f"endpoints-on-axis t={t:g}", "2", worst_axis, (0.0, 0.0), 1e-9,
-            worst_axis <= 1e-9))
-        norm_gap = max(abs(float(np.linalg.norm(quarter.xi_upper)) - 1.0),
-                       abs(float(np.linalg.norm(quarter.xi_lower)) - 1.0))
-        reports.append(verify.CheckReport(
-            f"ruling-unit t={t:g}", "2", norm_gap, (0.0, 0.0), 1e-12,
-            norm_gap <= 1e-12))
-    return reports
-
-
-def _box_topology_checks(data, n_s, n_v):
-    """Checks on the assembled box; returns (reports, topology, box)."""
-    reports = []
-    box = pillowbox.assemble_box(data, n_s, n_v)
-    topo = verify.topology_report(box)
-    reports.append(verify.CheckReport(
-        "box-closed", f"{n_s}x{n_v}", float(topo.boundary_edges), (0.0, 0.0),
-        0.5, topo.closed and topo.euler == 2))
-    reports.append(verify.CheckReport(
-        "box-no-intersections", f"{n_s}x{n_v}", float(topo.intersections),
-        (0.0, 0.0), 0.5, topo.intersections == 0))
-    bound = (2.0 * data.half_width()) * (2.0 * data.b) * (2.0 * data.max_height())
-    ok = topo.volume_valid and 0.0 < topo.volume < bound
-    reports.append(verify.CheckReport(
-        "box-volume-bounds", f"{n_s}x{n_v}", topo.volume, (0.0, bound),
-        bound, ok))
-    return reports, topo, box
-
-
-def _development_checks(data, n_s, n_v, tols):
-    """Checks on the flat state; returns (reports, development, pattern
-    graph, double rectangle)."""
-    reports = []
-    dev = development.developing_map(data)
-    two_a = dev.width
-    s = np.linspace(0.0, data.length, n_s + 1)
-    z0 = np.asarray(data.zeta.eval(s, 0))
-    vmat = mesh.quarter_grid_v(z0, data.b, max(n_v // 2, 1),
-                               max(n_v - n_v // 2, 1))
-    pts = dev.Y(np.broadcast_to(s, vmat.shape), vmat)
-    lo = pts.reshape(-1, 3).min(axis=0)
-    hi = pts.reshape(-1, 3).max(axis=0)
-    worst = max(abs(lo[0]), abs(lo[1]), abs(hi[0] - two_a), abs(hi[1] - data.b),
-                abs(lo[2]), abs(hi[2]))
-    reports.append(verify.CheckReport(
-        "development-image", f"{n_s}x{n_v}", float(worst), (0.0, 0.0),
-        tols["image"], worst <= tols["image"]))
-    rect = development.double_rectangle_mesh(two_a, 2.0 * data.b,
-                                             max(n_s // 2, 2))
-    topo = verify.topology_report(rect)
-    ok = topo.closed and topo.euler == 2 and abs(topo.volume) <= 1e-12
-    reports.append(verify.CheckReport(
-        "double-rectangle", f"{max(n_s // 2, 2)}", abs(topo.volume),
-        (0.0, 0.0), 1e-12, ok))
-    psi = development.pattern_graph(data)
-    pat = development.validate_pattern_conditions(psi, data.b)
-    reports.append(verify.CheckReport(
-        "pattern-conditions", f"{pat.n_samples}",
-        float(min(e["margin"] for e in pat.entries if e["gating"])),
-        (0.0, 0.0), 0.0, pat.valid))
-    return reports, dev, psi, rect
-
-
-def _dual_metric_gap(strip, s, v):
-    base = folding.first_fundamental_form(strip, s, v).closed
-    dual = folding.first_fundamental_form(strip.dual(), s, v).closed
-    return float(max(np.max(np.abs(b - d)) for b, d in zip(base, dual)))
-
-
-def _dichotomy_check(data, n_s, eps):
-    quarter = pillowbox.quarter_parametrization(data)
-    s = folding.interior_grid(data.length, n_s, eps)
-    v = np.full_like(s, 0.1 * data.b)
-    gap = _dual_metric_gap(quarter.upper_strip, s, v)
-    return verify.CheckReport("dual-metric-agreement", f"{n_s}", gap,
-                              (0.0, 0.0), 1e-8, gap <= 1e-8)
-
-
-def _obstruction_checks(data, schedule, n_s, n_v, tols):
-    reports = []
-    zmax = data.max_height()
-    for t in (0.25, 0.5, 0.75):
-        lam = schedule.lam(t)
-        depth = deformation.horizontal_end_depth(data, lam)
-        predicted = -lam * (1.0 - lam ** 2) / (1.0 + lam ** 2) * zmax
-        gap = abs(depth - predicted)
-        reports.append(verify.CheckReport(
-            f"depth-formula t={t:g}", "4001", gap, (depth, predicted),
-            tols["depth"], gap <= tols["depth"]))
-    for t, want_closed in ((0.0, True), (0.5, False), (1.0, True)):
-        m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
-        topo = verify.topology_report(m)
-        if want_closed:
-            ok = topo.closed and topo.euler == 2 and topo.intersections == 0
-        else:
-            ok = (not topo.closed) and topo.intersections > 0
-        reports.append(verify.CheckReport(
-            f"topology t={t:g}", f"{n_s}x{n_v}", float(topo.boundary_edges),
-            (float(topo.intersections), 0.0), 0.5, ok))
-    return reports
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -294,8 +115,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_build(args) -> int:
     data = _load_data(args.input)
-    n_s, n_v = args.grid
-    reports, topo, box = _box_topology_checks(data, n_s, n_v)
+    reports, topo, box = verify.box_checks(data, *args.grid)
     path = _artifact(args.out, "box.obj")
     if path:
         mesh.export_obj(box, path)
@@ -307,9 +127,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_develop(args) -> int:
     data = _load_data(args.input)
-    n_s, n_v = args.grid
-    tols = args.tols
-    reports, dev, psi, rect = _development_checks(data, n_s, n_v, tols)
+    reports, dev, psi, rect = verify.development_checks(
+        data, *args.grid, verify.TOLERANCES["image"])
     artifacts = []
     svg_path = _artifact(args.out, "pattern.svg")
     if svg_path:
@@ -335,7 +154,7 @@ def _cmd_deform(args) -> int:
     sched_report = deformation.validate_schedule(data, schedule)
     if args.sweep is not None:
         ts = np.linspace(0.0, 1.0, args.sweep)
-        rows = deformation.sweep_trace(data, schedule, ts, n_s, n_v)
+        rows = verify.sweep_trace(data, schedule, ts, n_s, n_v)
         path = _artifact(args.out, "trace.json")
         if path:
             mesh.export_trace(rows, path)
@@ -359,28 +178,17 @@ def _cmd_deform(args) -> int:
 
 def _cmd_family(args) -> int:
     data = _load_data(args.input)
-    n_s, n_v = args.grid
-    base_width = 2.0 * data.half_width()
     rows = []
     ok = True
     artifacts = []
-    for t in args.t_values:
-        member = deformation.pattern_scaling_family(data, t)
-        box = pillowbox.assemble_box(member, n_s, n_v)
-        topo = verify.topology_report(box)
-        width = 2.0 * member.half_width()
-        row = {"t": t, "closed": topo.closed, "euler": topo.euler,
-               "volume": topo.volume, "width": width,
-               "width_gap": abs(width - base_width)}
-        ok = ok and topo.closed and topo.euler == 2 \
-            and row["width_gap"] <= 1e-6
+    for row, box, passed in verify.family_members(data, args.t_values,
+                                                   *args.grid):
         rows.append(row)
-        path = _artifact(args.out, f"family_t{_fmt_t(t)}.obj")
+        ok = ok and passed
+        path = _artifact(args.out, f"family_t{_fmt_t(row['t'])}.obj")
         if path:
             mesh.export_obj(box, path)
             artifacts.append(path)
-    # Reported, not gated: pattern scaling can raise the volume at small t
-    # (the hyperbolic arch of length 2.402, width 1.411 with b = 0.761 does).
     vols = [r["volume"] for r in rows]
     decreasing = all(v1 > v2 for v1, v2 in zip(vols, vols[1:]))
     _emit({"rows": rows, "volumes_decreasing": decreasing,
@@ -391,35 +199,8 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     data = _load_data(args.input)
     schedule = _load_schedule(args.schedule)
-    n_s, n_v = args.grid
-    eps = args.eps_endpoint
-    tols = args.tols
-    n_half = max(n_v // 4, 3)
-    # One quarter per state, so the checks of a state share its crease and
-    # that crease's travel memo.  They are built in the order the checks
-    # first use them, so a schedule error names the first state checked.
-    quarters = {t: deformation.deformed_quarter(data, schedule, t)
-                for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.7)}
-
-    def at(*t_values):
-        return {t: quarters[t] for t in t_values}
-    isometry = functools.partial(verify.check_isometry,
-                                 reference=_metric_reference(data))
-    reports = []
-    reports += _stencil_checks(isometry, "isometry", data,
-                               at(0.0, 0.25, 0.5, 0.75, 1.0), n_s, n_half, eps,
-                               1e-5 * max(data.length, 1.0),
-                               1e-6 * max(data.b, 1.0), tols["isometry"])
-    reports += _stencil_checks(verify.check_flatness, "flatness", data,
-                               at(0.0, 0.5, 1.0), n_s, n_half, eps,
-                               1e-4 * max(data.length, 1.0),
-                               1e-4 * max(data.b, 1.0), tols["flatness"])
-    reports += _structure_checks(data, at(0.0, 0.3, 0.7, 1.0),
-                                 n_s, eps, tols)
-    reports += _box_topology_checks(data, n_s, n_v)[0]
-    reports += _development_checks(data, n_s, n_v, tols)[0]
-    reports += _obstruction_checks(data, schedule, n_s, n_v, tols)
-    reports.append(_dichotomy_check(data, n_s, eps))
+    reports = verify.certify(data, schedule, *args.grid, args.eps_endpoint,
+                             args.tols)
     payload = [r.to_dict() for r in reports]
     path = _artifact(args.out, "verify.json")
     if path:
@@ -438,18 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curved-folding pillow box construction and certification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid="48x24"):
+    def data_input(p):
         p.add_argument("--input", help="fundamental data JSON (default: demo box)")
+
+    def common(p, grid="48x24"):
+        data_input(p)
         p.add_argument("--grid", type=_parse_grid, default=_parse_grid(grid),
                        help=f"sampling grid NSxNV (default {grid})")
         p.add_argument("--out", help="directory for artifact files")
-        p.add_argument("--eps-endpoint", type=float, default=1e-3,
-                       help="endpoint guard fraction for interior grids")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance")
 
     p = sub.add_parser("validate", help="check fundamental data admissibility")
-    common(p)
+    data_input(p)
     p.add_argument("--samples", type=int, default=99)
     p.set_defaults(fn=_cmd_validate)
 
@@ -480,6 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, grid="32x16")
     p.add_argument("--all", action="store_true", required=True)
     p.add_argument("--schedule", default="linear")
+    p.add_argument("--eps-endpoint", type=float, default=1e-3,
+                   help="endpoint guard fraction for interior grids")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help="override a named tolerance: "
+                        + ", ".join(verify.TOLERANCES))
     p.set_defaults(fn=_cmd_verify)
     return parser
 
@@ -487,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.tols = _parse_tol(getattr(args, "tol", None), parser)
+    if args.command == "verify":
+        args.tols = _parse_tol(args.tol, parser)
     if args.command == "validate" and args.samples < 1:
         parser.error("--samples must be >= 1")
     if args.command == "deform":

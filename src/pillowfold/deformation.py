@@ -209,14 +209,15 @@ class DeformedQuarter:
         z0 = np.asarray(self.data.zeta.eval(np.atleast_1d(np.asarray(s, float)), 0))
         return self.X(s, z0)
 
-    def depth_coefficient(self) -> float:
-        lam = self.lam
-        return -lam * (1.0 - lam ** 2) / (1.0 + lam ** 2)
-
 
 def deformed_quarter(data: FundamentalData, schedule: DeformationSchedule,
                      t: float) -> DeformedQuarter:
     return DeformedQuarter(data, schedule.lam(t), schedule.mu(t))
+
+
+def depth_coefficient(lam: float) -> float:
+    """depth(s) / zeta(s) on the horizontal end at fold parameter lam."""
+    return -lam * (1.0 - lam ** 2) / (1.0 + lam ** 2)
 
 
 def horizontal_end_depth(data: FundamentalData, lam: float,
@@ -228,7 +229,7 @@ def horizontal_end_depth(data: FundamentalData, lam: float,
     """
     if not np.isfinite(lam) or lam < 0.0 or lam > 1.0 + 1e-12:
         raise DomainError(f"fold parameter must lie in [0, 1], got {lam}")
-    coeff = -lam * (1.0 - lam ** 2) / (1.0 + lam ** 2)
+    coeff = depth_coefficient(lam)
     s = np.linspace(0.0, data.length, n_samples)
     z0 = np.asarray(data.zeta.eval(s, 0))
     return float(np.min(coeff * z0))
@@ -291,25 +292,3 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
                              {"t": float(t), "base_kind": zeta.kind})
     return FundamentalData(data.b, zeta_t)
 
-
-def sweep_trace(data: FundamentalData, schedule: DeformationSchedule,
-                t_values, n_s: int, n_v: int) -> list:
-    """One summary row per t: fold state, closure depth, mesh topology."""
-    rows = []
-    for t in np.asarray(t_values, dtype=float):
-        lam = schedule.lam(float(t))
-        mesh = assemble_deformed(data, schedule, float(t), n_s, n_v)
-        closed = mesh.is_closed()
-        volume_valid = closed and mesh.orientation_consistent()
-        rows.append({
-            "t": float(t),
-            "lam": float(lam),
-            "mu": float(schedule.mu(float(t))),
-            "depth": horizontal_end_depth(data, lam),
-            "closed": closed,
-            "boundary_edges": mesh.boundary_edge_count(),
-            "euler": mesh.euler_characteristic(),
-            "volume": mesh.signed_volume() if volume_valid else 0.0,
-            "volume_valid": volume_valid,
-        })
-    return rows

@@ -50,11 +50,6 @@ class PlanarDevelopment:
         return out
 
 
-def developing_map(data: FundamentalData) -> PlanarDevelopment:
-    """Isometric development of the quarter onto the plane z = 0."""
-    return PlanarDevelopment(data)
-
-
 def pattern_graph(data: FundamentalData) -> ProfileFunction:
     """The crease pattern as a graph y = psi(x) over [0, 2a].
 

@@ -14,18 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import ProfileCrease, SIGMA_MIN
+from .curves import SIGMA_MIN
 from .deformation import XI_LOWER, DeformedQuarter
 from .folding import DevelopableStrip
 from .mesh import TriMesh, assemble_reflected
 from .profiles import FundamentalData, safe_sqrt
 
 XI_UPPER = np.array([0.0, 0.0, -1.0])
-
-
-def crease_curve(data: FundamentalData) -> ProfileCrease:
-    """Folded crease; derivative evaluations guard against sigma < SIGMA_MIN."""
-    return ProfileCrease(data, lam=1.0)
 
 
 def _alpha_functions(data: FundamentalData):
@@ -75,10 +70,6 @@ class QuarterParametrization(DeformedQuarter):
         return -np.asarray(self.data.zeta.eval(s, 1))
 
 
-def quarter_parametrization(data: FundamentalData) -> QuarterParametrization:
-    return QuarterParametrization(data)
-
-
 def assemble_box(data: FundamentalData, n_s: int, n_v: int) -> TriMesh:
     """Closed box mesh from four reflected quarters.
 
@@ -90,5 +81,5 @@ def assemble_box(data: FundamentalData, n_s: int, n_v: int) -> TriMesh:
                               require_horizontal_weld=True)
 
 
-__all__ = ["XI_UPPER", "XI_LOWER", "SIGMA_MIN", "crease_curve",
-           "QuarterParametrization", "quarter_parametrization", "assemble_box"]
+__all__ = ["XI_UPPER", "XI_LOWER", "SIGMA_MIN", "QuarterParametrization",
+           "assemble_box"]

@@ -66,9 +66,6 @@ class ProfileFunction:
             return float(out)
         return out
 
-    def __call__(self, s, order: int = 0):
-        return self.eval(s, order)
-
     def scaled(self, factor: float) -> "ProfileFunction":
         """Same abscissa, values multiplied by a positive factor."""
         if not np.isfinite(factor) or factor <= 0:

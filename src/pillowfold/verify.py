@@ -4,6 +4,9 @@ Every check measures a residual against an explicit threshold and reports
 worst value and location, so a failing certificate says where to look.
 Finite differences only ever see guarded interior grids; the library's job is
 to keep the checks honest, not to make them pass.
+
+The batteries the CLI runs, with every state, grid, stencil step and
+threshold they use, live here too; TOLERANCES holds the overridable ones.
 """
 
 from __future__ import annotations
@@ -12,9 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import deformation, development, folding, pillowbox
 from .errors import (CollinearSamples, DegenerateMetric, GridTooCoarse,
                      InconsistentOrientation, NotClosed)
-from .mesh import TriMesh, min_triangle_area_check, self_intersection_pairs
+from .mesh import (TriMesh, min_triangle_area_check, quarter_grid_v,
+                   self_intersection_pairs)
+from .profiles import FundamentalData
+
+TOLERANCES = {
+    "isometry": 1e-6,
+    "flatness": 1e-5,
+    "planarity": 1e-8,
+    "depth": 1e-8,
+    "image": 1e-6,
+}
 
 
 @dataclass
@@ -27,6 +41,12 @@ class CheckReport:
     at: tuple
     threshold: float
     passed: bool
+
+    @classmethod
+    def bounded(cls, check: str, grid: str, worst: float, at: tuple,
+                threshold: float) -> "CheckReport":
+        """The report of the inequality worst <= threshold."""
+        return cls(check, grid, worst, at, threshold, worst <= threshold)
 
     def to_dict(self) -> dict:
         return {"check": self.check, "grid": self.grid,
@@ -66,9 +86,9 @@ def check_isometry(sampler, reference, s_values, v_values, h_s: float,
                        np.maximum(np.abs(F - F0), np.abs(G - G0)))
     worst = float(np.max(resid))
     k = np.unravel_index(int(np.argmax(resid)), resid.shape)
-    return CheckReport(label, f"{smat.shape[0]}x{smat.shape[1]}", worst,
-                       (float(smat[k]), float(vmat[k])), threshold,
-                       worst <= threshold)
+    return CheckReport.bounded(label, f"{smat.shape[0]}x{smat.shape[1]}",
+                               worst, (float(smat[k]), float(vmat[k])),
+                               threshold)
 
 
 def check_flatness(sampler, s_values, v_values, h_s: float, h_v: float,
@@ -104,9 +124,9 @@ def check_flatness(sampler, s_values, v_values, h_s: float, h_v: float,
     K = (Lf * Nf - Mf * Mf) / det
     worst = float(np.max(np.abs(K)))
     k = np.unravel_index(int(np.argmax(np.abs(K))), K.shape)
-    return CheckReport(label, f"{smat.shape[0]}x{smat.shape[1]}", worst,
-                       (float(smat[k]), float(vmat[k])), threshold,
-                       worst <= threshold)
+    return CheckReport.bounded(label, f"{smat.shape[0]}x{smat.shape[1]}",
+                               worst, (float(smat[k]), float(vmat[k])),
+                               threshold)
 
 
 @dataclass
@@ -176,15 +196,11 @@ def enclosed_volume(mesh: TriMesh) -> float:
     return mesh.signed_volume()
 
 
-def count_self_intersections(mesh: TriMesh) -> int:
-    return len(self_intersection_pairs(mesh))
-
-
 def topology_report(mesh: TriMesh, count_intersections: bool = True) -> TopologyReport:
     """Combinatorial and geometric summary of a welded mesh."""
     min_triangle_area_check(mesh)
     closed = mesh.is_closed()
-    inter = count_self_intersections(mesh) if count_intersections else 0
+    inter = len(self_intersection_pairs(mesh)) if count_intersections else 0
     volume_valid = closed and mesh.orientation_consistent()
     volume = mesh.signed_volume() if volume_valid else 0.0
     return TopologyReport(mesh.n_vertices, mesh.n_edges(), mesh.n_faces,
@@ -192,3 +208,232 @@ def topology_report(mesh: TriMesh, count_intersections: bool = True) -> Topology
                           mesh.boundary_edge_count(),
                           mesh.nonmanifold_edge_count(), inter, volume,
                           volume_valid)
+
+
+# ---------------------------------------------------------------------------
+# batteries
+# ---------------------------------------------------------------------------
+
+def _strip_grid(data: FundamentalData, n_s: int, n_half: int, side: str,
+                eps: float):
+    """Interior (s, v) grid for one strip; v stays clear of crease and rim."""
+    s = folding.interior_grid(data.length, n_s, eps)
+    frac = np.linspace(0.08, 0.92, n_half)
+    z0 = np.asarray(data.zeta.eval(s, 0))
+    rim = z0 if side == "upper" else -(data.b - z0)
+    return s, rim[:, None] * frac
+
+
+def _metric_reference(data: FundamentalData):
+    def reference(smat, vmat):
+        z1 = np.asarray(data.zeta.eval(smat, 1))
+        return np.ones_like(z1), -z1, np.ones_like(z1)
+    return reference
+
+
+def _stencil_checks(check, name, data, quarters, n_s, n_half, eps,
+                    h_s, h_v, tol, **extra):
+    """One report "{name} t={t} {side}" per state and strip, in that order.
+
+    quarters maps each t to its DeformedQuarter.  check is check_isometry
+    (with its reference in extra) or check_flatness; its stencil of steps
+    h_s, h_v samples each strip through that strip's own smooth extension,
+    with room to straddle the curved boundary."""
+    reports = []
+    slack = 2.0 * (h_s + h_v)
+    for t, quarter in quarters.items():
+        for side in ("upper", "lower"):
+            s, v = _strip_grid(data, n_s, n_half, side, eps)
+            reports.append(check(
+                quarter.sampler(side, slack), s_values=s, v_values=v,
+                h_s=h_s, h_v=h_v, threshold=tol,
+                label=f"{name} t={t:g} {side}", **extra))
+    return reports
+
+
+def _structure_checks(data, quarters, n_s, eps, tols):
+    """Crease height/planarity, end confinement, ruling norms."""
+    reports = []
+    s = folding.interior_grid(data.length, n_s, eps)
+    z0 = np.asarray(data.zeta.eval(s, 0))
+    for t, quarter in quarters.items():
+        c = quarter.crease.point(s)
+        worst_y = float(np.max(np.abs(c[:, 1] - z0)))
+        reports.append(CheckReport.bounded(
+            f"crease-height t={t:g}", f"{s.size}", worst_y,
+            (float(s[np.argmax(np.abs(c[:, 1] - z0))]), 0.0), 1e-9))
+        plan = check_crease_planarity(c)
+        gap = abs(plan.lambda_estimate - quarter.lam)
+        reports.append(CheckReport.bounded(
+            f"crease-plane t={t:g}", f"{s.size}", gap, (quarter.lam, 0.0),
+            tols["planarity"]))
+        vert = quarter.vertical_end(s)
+        worst_b = float(np.max(np.abs(vert[:, 1] - data.b)))
+        reports.append(CheckReport.bounded(
+            f"vertical-end t={t:g}", f"{s.size}", worst_b, (0.0, 0.0), 1e-9))
+        ends = quarter.crease.point(np.array([0.0, data.length]))
+        worst_axis = float(np.max(np.abs(ends[:, 1:])))
+        reports.append(CheckReport.bounded(
+            f"endpoints-on-axis t={t:g}", "2", worst_axis, (0.0, 0.0), 1e-9))
+        norm_gap = max(abs(float(np.linalg.norm(quarter.xi_upper)) - 1.0),
+                       abs(float(np.linalg.norm(quarter.xi_lower)) - 1.0))
+        reports.append(CheckReport.bounded(
+            f"ruling-unit t={t:g}", "2", norm_gap, (0.0, 0.0), 1e-12))
+    return reports
+
+
+def box_checks(data: FundamentalData, n_s: int, n_v: int):
+    """Checks on the assembled box; returns (reports, topology, box)."""
+    box = pillowbox.assemble_box(data, n_s, n_v)
+    topo = topology_report(box)
+    grid = f"{n_s}x{n_v}"
+    bound = (2.0 * data.half_width()) * (2.0 * data.b) * (2.0 * data.max_height())
+    reports = [
+        CheckReport("box-closed", grid, float(topo.boundary_edges), (0.0, 0.0),
+                    0.5, topo.closed and topo.euler == 2),
+        CheckReport("box-no-intersections", grid, float(topo.intersections),
+                    (0.0, 0.0), 0.5, topo.intersections == 0),
+        CheckReport("box-volume-bounds", grid, topo.volume, (0.0, bound),
+                    bound, topo.volume_valid and 0.0 < topo.volume < bound),
+    ]
+    return reports, topo, box
+
+
+def development_checks(data: FundamentalData, n_s: int, n_v: int,
+                       tol_image: float):
+    """Checks on the flat state; returns (reports, development, pattern
+    graph, double rectangle)."""
+    reports = []
+    dev = development.PlanarDevelopment(data)
+    two_a = dev.width
+    s = np.linspace(0.0, data.length, n_s + 1)
+    z0 = np.asarray(data.zeta.eval(s, 0))
+    vmat = quarter_grid_v(z0, data.b, max(n_v // 2, 1), max(n_v - n_v // 2, 1))
+    pts = dev.Y(np.broadcast_to(s, vmat.shape), vmat)
+    lo = pts.reshape(-1, 3).min(axis=0)
+    hi = pts.reshape(-1, 3).max(axis=0)
+    worst = max(abs(lo[0]), abs(lo[1]), abs(hi[0] - two_a), abs(hi[1] - data.b),
+                abs(lo[2]), abs(hi[2]))
+    reports.append(CheckReport.bounded(
+        "development-image", f"{n_s}x{n_v}", float(worst), (0.0, 0.0),
+        tol_image))
+    rect = development.double_rectangle_mesh(two_a, 2.0 * data.b,
+                                             max(n_s // 2, 2))
+    topo = topology_report(rect)
+    ok = topo.closed and topo.euler == 2 and abs(topo.volume) <= 1e-12
+    reports.append(CheckReport(
+        "double-rectangle", f"{max(n_s // 2, 2)}", abs(topo.volume),
+        (0.0, 0.0), 1e-12, ok))
+    psi = development.pattern_graph(data)
+    pat = development.validate_pattern_conditions(psi, data.b)
+    reports.append(CheckReport(
+        "pattern-conditions", f"{pat.n_samples}",
+        float(min(e["margin"] for e in pat.entries if e["gating"])),
+        (0.0, 0.0), 0.0, pat.valid))
+    return reports, dev, psi, rect
+
+
+def _dichotomy_check(data, n_s, eps):
+    strip = pillowbox.QuarterParametrization(data).upper_strip
+    s = folding.interior_grid(data.length, n_s, eps)
+    v = np.full_like(s, 0.1 * data.b)
+    base = folding.first_fundamental_form(strip, s, v).closed
+    dual = folding.first_fundamental_form(strip.dual(), s, v).closed
+    gap = float(max(np.max(np.abs(b - d)) for b, d in zip(base, dual)))
+    return CheckReport.bounded("dual-metric-agreement", f"{n_s}", gap,
+                               (0.0, 0.0), 1e-8)
+
+
+def _obstruction_checks(data, schedule, n_s, n_v, tols):
+    reports = []
+    zmax = data.max_height()
+    for t in (0.25, 0.5, 0.75):
+        lam = schedule.lam(t)
+        depth = deformation.horizontal_end_depth(data, lam)
+        predicted = deformation.depth_coefficient(lam) * zmax
+        gap = abs(depth - predicted)
+        reports.append(CheckReport.bounded(
+            f"depth-formula t={t:g}", "4001", gap, (depth, predicted),
+            tols["depth"]))
+    for t, want_closed in ((0.0, True), (0.5, False), (1.0, True)):
+        m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
+        topo = topology_report(m)
+        if want_closed:
+            ok = topo.closed and topo.euler == 2 and topo.intersections == 0
+        else:
+            ok = (not topo.closed) and topo.intersections > 0
+        reports.append(CheckReport(
+            f"topology t={t:g}", f"{n_s}x{n_v}", float(topo.boundary_edges),
+            (float(topo.intersections), 0.0), 0.5, ok))
+    return reports
+
+
+def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
+            tols: dict) -> list:
+    """The full battery: isometry and flatness of the strips, crease and end
+    structure, the box, the flat state, the closure obstruction and the
+    dual-metric dichotomy, in that order.  tols maps each TOLERANCES name
+    to its threshold; eps is the endpoint guard of the interior grids."""
+    n_half = max(n_v // 4, 3)
+    # One quarter per state, so the checks of a state share its crease and
+    # that crease's travel memo.  They are built in the order the checks
+    # first use them, so a schedule error names the first state checked.
+    quarters = {t: deformation.deformed_quarter(data, schedule, t)
+                for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.7)}
+
+    def at(*t_values):
+        return {t: quarters[t] for t in t_values}
+    reports = []
+    reports += _stencil_checks(check_isometry, "isometry", data,
+                               at(0.0, 0.25, 0.5, 0.75, 1.0), n_s, n_half, eps,
+                               1e-5 * max(data.length, 1.0),
+                               1e-6 * max(data.b, 1.0), tols["isometry"],
+                               reference=_metric_reference(data))
+    reports += _stencil_checks(check_flatness, "flatness", data,
+                               at(0.0, 0.5, 1.0), n_s, n_half, eps,
+                               1e-4 * max(data.length, 1.0),
+                               1e-4 * max(data.b, 1.0), tols["flatness"])
+    reports += _structure_checks(data, at(0.0, 0.3, 0.7, 1.0),
+                                 n_s, eps, tols)
+    reports += box_checks(data, n_s, n_v)[0]
+    reports += development_checks(data, n_s, n_v, tols["image"])[0]
+    reports += _obstruction_checks(data, schedule, n_s, n_v, tols)
+    reports.append(_dichotomy_check(data, n_s, eps))
+    return reports
+
+
+def family_members(data: FundamentalData, t_values, n_s: int, n_v: int):
+    """Per t, the pattern-scaling member's (row, box, passed): passed means
+    a closed sphere whose width is the base's to 1e-6.  Volume order is left
+    to the caller to report; pattern scaling can raise the volume at small t
+    (the hyperbolic arch of length 2.402, width 1.411 with b = 0.761 does)."""
+    base_width = 2.0 * data.half_width()
+    for t in t_values:
+        member = deformation.pattern_scaling_family(data, t)
+        box = pillowbox.assemble_box(member, n_s, n_v)
+        topo = topology_report(box)
+        width = 2.0 * member.half_width()
+        row = {"t": t, "closed": topo.closed, "euler": topo.euler,
+               "volume": topo.volume, "width": width,
+               "width_gap": abs(width - base_width)}
+        yield row, box, topo.closed and topo.euler == 2 \
+            and row["width_gap"] <= 1e-6
+
+
+def sweep_trace(data: FundamentalData, schedule, t_values, n_s: int,
+                n_v: int) -> list:
+    """One summary row per t: fold state, closure depth, mesh topology."""
+    rows = []
+    for t in np.asarray(t_values, dtype=float):
+        lam = schedule.lam(float(t))
+        topo = topology_report(
+            deformation.assemble_deformed(data, schedule, float(t), n_s, n_v),
+            count_intersections=False)
+        rows.append({"t": float(t), "lam": float(lam),
+                     "mu": float(schedule.mu(float(t))),
+                     "depth": deformation.horizontal_end_depth(data, lam),
+                     "closed": topo.closed,
+                     "boundary_edges": topo.boundary_edges,
+                     "euler": topo.euler, "volume": topo.volume,
+                     "volume_valid": topo.volume_valid})
+    return rows

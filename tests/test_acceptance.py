@@ -14,11 +14,11 @@ from pillowfold.curves import Helix
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     assemble_deformed, horizontal_end_depth,
                                     pattern_scaling_family)
-from pillowfold.development import developing_map, double_rectangle_mesh
+from pillowfold.development import PlanarDevelopment, double_rectangle_mesh
 from pillowfold.folding import (DevelopableStrip, first_fundamental_form,
                                 frenet_frame, interior_grid, strip_geometry)
 from pillowfold.mesh import quarter_grid_v
-from pillowfold.pillowbox import assemble_box, quarter_parametrization
+from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import (check_crease_planarity, check_flatness,
                                check_isometry, enclosed_volume,
@@ -74,9 +74,9 @@ def test_criterion_2_endpoint_collapse():
     vmat = quarter_grid_v(oc.demo_zeta(s, 0), 1.0, 8, 8)
     smat = np.broadcast_to(s, vmat.shape)
     start = DeformedQuarter(DATA, SCHEDULE.lam(0.0)).X(smat, vmat)
-    box = quarter_parametrization(DATA).X(smat, vmat)
+    box = QuarterParametrization(DATA).X(smat, vmat)
     end = DeformedQuarter(DATA, SCHEDULE.lam(1.0)).X(smat, vmat)
-    flat = developing_map(DATA).Y(smat, vmat)
+    flat = PlanarDevelopment(DATA).Y(smat, vmat)
     gap0 = float(np.max(np.abs(start - box)))
     gap1 = float(np.max(np.abs(end - flat)))
     report(2, "endpoint collapse", max(gap0, gap1) <= tol,
@@ -163,7 +163,7 @@ def test_criterion_6_development():
     # developed width 2 ln(1 + sqrt 2), image filling the rectangle, and the
     # double rectangle as a closed zero-volume sphere
     tol_width, tol_image = 1e-8, 1e-6
-    dev = developing_map(DATA)
+    dev = PlanarDevelopment(DATA)
     width_gap = abs(dev.width - oc.TWO_A)
     s = np.linspace(0.0, 2.0, 65)
     vmat = quarter_grid_v(oc.demo_zeta(s, 0), 1.0, 16, 16)
@@ -207,7 +207,7 @@ def test_criterion_8_oracle_cross_checks():
     # curvature and ruling angles at the apex, and the metric F entry at
     # s = 1/2, against independent finite-difference/quadrature oracles
     tol = 1e-8
-    quarter = quarter_parametrization(DATA)
+    quarter = QuarterParametrization(DATA)
     geo = strip_geometry(quarter.upper_strip, np.array([1.0]))
     # oracle: kappa = |c''| by five-point differencing of the velocity
     fd_acc = oc.five_point_diff(quarter.crease.velocity, np.array([1.0]), 1e-5)
@@ -234,7 +234,7 @@ def test_criterion_9_dual_metric_dichotomy():
     # plane crease: both strips carry the same metric; twisted crease: the
     # mirror strip differs
     tol_agree, tol_differ = 1e-8, 1e-3
-    quarter = quarter_parametrization(DATA)
+    quarter = QuarterParametrization(DATA)
     s = interior_grid(2.0, 33)
     v = np.full_like(s, 0.1)
 

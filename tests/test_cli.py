@@ -10,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 
 from pillowfold import curves, quadrature
 from pillowfold.cli import main
+from pillowfold.deformation import DeformationSchedule
 from pillowfold.mesh import load_obj
+from pillowfold.profiles import FundamentalData
+from pillowfold.verify import TOLERANCES, certify
 
 import oracles as oc
 from strategies import admissible_data
@@ -141,6 +144,20 @@ def test_deform_sweep_trace(capsys, tmp_path):
     assert closed_flags == [True, False, False, False, True]
 
 
+def test_deform_sweep_rows_are_the_single_state_topology(capsys):
+    # a sweep row is the topology summary deform --t reports for its state
+    rc, payload, _ = run_cli(capsys, "deform", "--sweep", "5", "--grid", "12x6")
+    assert rc == 0
+    fields = ("closed", "boundary_edges", "euler", "volume", "volume_valid")
+    for row in payload["trace"]:
+        rc, state, _ = run_cli(capsys, "deform", "--t", repr(row["t"]),
+                               "--grid", "12x6")
+        assert rc == 0
+        want = {k: state[k] for k in ("t", "lam", "mu", "depth")}
+        want.update({k: state["topology"][k] for k in fields})
+        assert row == want
+
+
 def test_deform_flag_validation():
     with pytest.raises(SystemExit):
         main(["deform"])
@@ -243,6 +260,27 @@ def test_verify_all_passes_on_admissible_boxes(data, capsys, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("box", [
+    None,
+    {"b": 0.6, "zeta": {"kind": "circular", "length": 2.0, "radius": 2.0}},
+    {"b": 0.761, "zeta": {"kind": "hyperbolic", "length": 2.402,
+                          "width": 1.411}},
+], ids=["demo", "circular", "hyperbolic"])
+def test_certify_is_what_verify_all_prints(box, capsys, tmp_path):
+    argv = ["verify", "--all"]
+    data = FundamentalData.demo()
+    if box is not None:
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(box))
+        argv += ["--input", str(path)]
+        data = FundamentalData.from_descriptor(box)
+    rc, payload, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    reports = certify(data, DeformationSchedule.linear(), 32, 16, 1e-3,
+                      TOLERANCES)
+    assert [r.to_dict() for r in reports] == payload["checks"]
+
+
 def test_verify_tolerance_override_can_fail(capsys):
     rc, payload, _ = run_cli(capsys, "verify", "--all",
                              "--tol", "isometry=1e-16")
@@ -262,6 +300,30 @@ def test_malformed_numeric_input_exits_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# flags that their subcommand used to accept and ignore
+REMOVED_FLAGS = [
+    ["validate", "--grid", "3x3"],
+    ["validate", "--out", "d"],
+    ["validate", "--eps-endpoint", "0.1"],
+    ["validate", "--tol", "isometry=1"],
+    ["verify", "--all", "--tol", "collapse=1"],
+] + [argv + flag
+     for argv in (["build"], ["develop"], ["deform", "--t", "0.5"],
+                  ["family", "--pattern-scaling"])
+     for flag in (["--eps-endpoint", "0.1"], ["--tol", "isometry=1"])]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS,
+                         ids=[" ".join(a) for a in REMOVED_FLAGS])
+def test_removed_flag_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_tolerance_name_rejected():

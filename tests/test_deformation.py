@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     admissibility_margin, assemble_deformed,
-                                    deformed_quarter, horizontal_end_depth,
-                                    pattern_scaling_family, sweep_trace,
-                                    validate_schedule)
-from pillowfold.development import developing_map, pattern_graph
+                                    deformed_quarter, depth_coefficient,
+                                    horizontal_end_depth,
+                                    pattern_scaling_family, validate_schedule)
+from pillowfold.development import PlanarDevelopment, pattern_graph
 from pillowfold.errors import (DomainError, IoError, NotClosed,
                                ScheduleViolation)
-from pillowfold.pillowbox import quarter_parametrization
+from pillowfold.pillowbox import QuarterParametrization
 from pillowfold.profiles import (FundamentalData, ProfileFunction,
                                  graph_to_arclength_profile)
-from pillowfold.verify import enclosed_volume, topology_report
+from pillowfold.verify import enclosed_volume, sweep_trace, topology_report
 
 import oracles as oc
 from strategies import admissible_data
@@ -106,7 +106,7 @@ def test_deformed_quarter_guards():
 def test_deformed_quarter_structure():
     data = FundamentalData.demo()
     q = DeformedQuarter(data, 0.5)
-    assert abs(q.depth_coefficient() + 0.3) < 1e-15
+    assert abs(depth_coefficient(q.lam) + 0.3) < 1e-15
     s = np.linspace(0.0, 2.0, 41)
     z0 = oc.demo_zeta(s, 0)
     # crease keeps its height profile and stays in the plane z = lam y
@@ -129,10 +129,10 @@ def test_deformation_endpoints_reproduce_box_and_development():
     v = 0.3 * oc.demo_zeta(s, 0) - 0.2
     start = deformed_quarter(data, schedule, 0.0)
     assert np.max(np.abs(start.X(s, v)
-                         - quarter_parametrization(data).X(s, v))) < 1e-10
+                         - QuarterParametrization(data).X(s, v))) < 1e-10
     end = deformed_quarter(data, schedule, 1.0)
     assert np.max(np.abs(end.X(s, v)
-                         - developing_map(data).Y(s, v))) < 1e-10
+                         - PlanarDevelopment(data).Y(s, v))) < 1e-10
 
 
 def test_horizontal_end_depth_formula():
@@ -181,8 +181,7 @@ def test_horizontal_end_weld_threshold():
 
     def weld(t):
         report = assemble_deformed(data, schedule, t, 48, 24).weld_report
-        want = 2.0 * abs(deformed_quarter(data, schedule, t)
-                         .depth_coefficient()) * zeta_max
+        want = 2.0 * abs(depth_coefficient(schedule.lam(t))) * zeta_max
         # near lam = 1 the end's z is the difference of two terms ~zeta that
         # cancel to ~t zeta, so it keeps about 1e-16 / t of relative accuracy
         assert abs(report["worst_gap"]["horizontal_end"] / want - 1.0) < 1e-9

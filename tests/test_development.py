@@ -3,17 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pillowfold.development import (developing_map, double_rectangle_mesh,
+from pillowfold.development import (PlanarDevelopment, double_rectangle_mesh,
                                     pattern_graph, validate_pattern_conditions)
 from pillowfold.errors import NonGraph, OutOfDomain
 from pillowfold.profiles import FundamentalData, ProfileFunction
-from pillowfold.verify import count_self_intersections, enclosed_volume
+from pillowfold.mesh import self_intersection_pairs
+from pillowfold.verify import enclosed_volume
 
 import oracles as oc
 
 
 def test_development_width_matches_closed_form():
-    dev = developing_map(FundamentalData.demo())
+    dev = PlanarDevelopment(FundamentalData.demo())
     assert abs(dev.width - oc.TWO_A) < 1e-10
     oracle = oc.fixed_simpson(
         lambda s: np.sqrt(1.0 - oc.demo_zeta(s, 1) ** 2), 0.0, 2.0, 40_000)
@@ -22,7 +23,7 @@ def test_development_width_matches_closed_form():
 
 def test_development_image_is_flat_rectangle():
     data = FundamentalData.demo()
-    dev = developing_map(data)
+    dev = PlanarDevelopment(data)
     s = np.linspace(0.0, 2.0, 33)
     z0 = oc.demo_zeta(s, 0)
     # crease image is the graph of zeta over the developed abscissa
@@ -41,7 +42,7 @@ def test_development_image_is_flat_rectangle():
 
 def test_development_is_isometric():
     # developed speed along the crease must equal 1 (arc length preserved)
-    dev = developing_map(FundamentalData.demo())
+    dev = PlanarDevelopment(FundamentalData.demo())
     s = np.linspace(0.1, 1.9, 25)
     h = 1e-6
     d = (dev.gamma(s + h) - dev.gamma(s - h)) / (2.0 * h)
@@ -108,4 +109,4 @@ def test_double_rectangle_counts_and_topology():
 def test_double_rectangle_no_spurious_intersections():
     # coincident coplanar sheets must not count as self-intersections
     rect = double_rectangle_mesh(oc.TWO_A, 2.0, 4)
-    assert count_self_intersections(rect) == 0
+    assert len(self_intersection_pairs(rect)) == 0

@@ -10,7 +10,7 @@ from pillowfold.folding import (DevelopableStrip, beta_from_alpha,
                                 beta_derivative, first_fundamental_form,
                                 fold_pair, frenet_frame, interior_grid,
                                 strip_geometry)
-from pillowfold.pillowbox import quarter_parametrization
+from pillowfold.pillowbox import QuarterParametrization
 from pillowfold.profiles import FundamentalData
 
 import oracles as oc
@@ -78,7 +78,7 @@ def test_strip_geometry_invariants():
 
 
 def test_pillow_quarter_angles():
-    quarter = quarter_parametrization(FundamentalData.demo())
+    quarter = QuarterParametrization(FundamentalData.demo())
     geo = strip_geometry(quarter.upper_strip, np.array([1.0]))
     assert abs(float(geo["kappa"][0]) - oc.KAPPA_AT_1) < 1e-12
     assert abs(float(geo["alpha"][0]) - oc.ALPHA_AT_1) < 1e-12
@@ -120,7 +120,7 @@ def test_dual_strip_is_involution_and_mirror():
 
 
 def test_pillow_dual_metrics_agree():
-    quarter = quarter_parametrization(FundamentalData.demo())
+    quarter = QuarterParametrization(FundamentalData.demo())
     s = np.linspace(0.2, 1.8, 9)
     v = np.full_like(s, 0.1)
     base = first_fundamental_form(quarter.upper_strip, s, v).closed

@@ -16,7 +16,7 @@ from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _box_pairs, export_obj,
                              export_svg, export_trace, load_obj,
                              min_triangle_area_check, quarter_grid_v,
                              sample_and_triangulate, self_intersection_pairs)
-from pillowfold.pillowbox import assemble_box, quarter_parametrization
+from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import FundamentalData, ProfileFunction
 
 import oracles as oc
@@ -82,19 +82,19 @@ def test_quarter_grid_v_rows():
 def test_coarse_quarter_triangle_counts():
     # corner columns collapse where zeta = 0: two quads degenerate
     demo = FundamentalData.demo()
-    m = sample_and_triangulate(quarter_parametrization(demo).X, demo, 2, 2)
+    m = sample_and_triangulate(QuarterParametrization(demo).X, demo, 2, 2)
     assert m.n_faces == 6
     # a profile with nonzero ends keeps all 8 triangles of the 2x2 grid
     flat = FundamentalData(1.0, ProfileFunction.polynomial([0.3], 2.0))
-    m = sample_and_triangulate(quarter_parametrization(flat).X, flat, 2, 2)
+    m = sample_and_triangulate(QuarterParametrization(flat).X, flat, 2, 2)
     assert m.n_faces == 8
     with pytest.raises(GridTooCoarse):
-        sample_and_triangulate(quarter_parametrization(demo).X, demo, 1, 2)
+        sample_and_triangulate(QuarterParametrization(demo).X, demo, 1, 2)
 
 
 def test_quarter_mesh_contains_exact_crease_samples():
     demo = FundamentalData.demo()
-    quarter = quarter_parametrization(demo)
+    quarter = QuarterParametrization(demo)
     m = sample_and_triangulate(quarter.X, demo, 8, 4)
     s_values = np.linspace(0.0, 2.0, 9)
     crease = quarter.X(s_values, np.zeros(9))
@@ -104,7 +104,7 @@ def test_quarter_mesh_contains_exact_crease_samples():
 
 def test_quarter_mesh_nondegenerate_at_working_resolution():
     demo = FundamentalData.demo()
-    m = sample_and_triangulate(quarter_parametrization(demo).X, demo, 64, 32)
+    m = sample_and_triangulate(QuarterParametrization(demo).X, demo, 64, 32)
     min_triangle_area_check(m)
     assert m.triangle_areas().min() > 1e-14 * m.diagonal() ** 2
 
@@ -418,7 +418,7 @@ def test_assembly_of_admissible_boxes(data, t):
     mid = assemble_deformed(data, schedule, t, 8, 4)
     assert [mid.weld_report[k] for k in _CORRESPONDENCES] == [
         "welded", "welded", "open"]
-    for mesh, X in ((box, quarter_parametrization(data).X),
+    for mesh, X in ((box, QuarterParametrization(data).X),
                     (mid, deformed_quarter(data, schedule, t).X)):
         vertices, faces, statuses = oc.loop_assembly(X, data, 8, 4)
         assert np.array_equal(mesh.vertices, vertices)

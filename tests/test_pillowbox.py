@@ -6,8 +6,9 @@ from hypothesis import given, settings
 
 from pillowfold.deformation import DeformedQuarter
 from pillowfold.errors import ScheduleViolation, WeldFailure
-from pillowfold.pillowbox import (XI_LOWER, XI_UPPER, assemble_box,
-                                  crease_curve, quarter_parametrization)
+from pillowfold.curves import ProfileCrease
+from pillowfold.pillowbox import (XI_LOWER, XI_UPPER, QuarterParametrization,
+                                  assemble_box)
 from pillowfold.profiles import FundamentalData, ProfileFunction
 from pillowfold.verify import enclosed_volume, topology_report
 
@@ -16,7 +17,7 @@ from strategies import admissible_data
 
 
 def test_crease_curve_against_quadrature_oracle():
-    crease = crease_curve(FundamentalData.demo())
+    crease = ProfileCrease(FundamentalData.demo(), lam=1.0)
     assert crease.lam == 1.0
     x1 = float(crease.point(1.0)[0])
     assert abs(x1 - oc.X1_TRUE) < 1e-9
@@ -24,7 +25,7 @@ def test_crease_curve_against_quadrature_oracle():
 
 
 def test_quarter_rulings_are_constant_units():
-    quarter = quarter_parametrization(FundamentalData.demo())
+    quarter = QuarterParametrization(FundamentalData.demo())
     assert np.allclose(XI_UPPER, [0.0, 0.0, -1.0], atol=1e-15)
     assert np.allclose(XI_LOWER, [0.0, -1.0, 0.0], atol=1e-15)
     s = np.linspace(0.1, 1.9, 7)
@@ -35,7 +36,7 @@ def test_quarter_rulings_are_constant_units():
 
 def test_quarter_surface_structure():
     data = FundamentalData.demo()
-    quarter = quarter_parametrization(data)
+    quarter = QuarterParametrization(data)
     s = np.linspace(0.0, 2.0, 21)
     z0 = oc.demo_zeta(s, 0)
     # crease row equals the folded crease
@@ -52,7 +53,7 @@ def test_quarter_surface_structure():
 
 
 def test_quarter_ruling_angle_value():
-    quarter = quarter_parametrization(FundamentalData.demo())
+    quarter = QuarterParametrization(FundamentalData.demo())
     assert abs(float(quarter.cos_beta(0.5)) - oc.F_HALF) < 1e-12
     # independent oracle: cos(beta) = -zeta'(s)
     s = np.linspace(0.1, 1.9, 9)
@@ -104,7 +105,7 @@ def test_weld_failure_on_open_profile():
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(admissible_data())
 def test_folded_quarter_is_the_lam_1_deformed_quarter(data):
-    quarter = quarter_parametrization(data)
+    quarter = QuarterParametrization(data)
     assert isinstance(quarter, DeformedQuarter)
     assert quarter.lam == 1.0 and quarter.mu == 0.0
     deformed = DeformedQuarter(data, 1.0)
@@ -133,4 +134,4 @@ def test_folded_quarter_refuses_a_negative_fold_margin():
         {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
                             "width": 0.7}})
     with pytest.raises(ScheduleViolation):
-        quarter_parametrization(data)
+        QuarterParametrization(data)

@@ -9,12 +9,12 @@ from pillowfold.deformation import DeformedQuarter
 from pillowfold.errors import (CollinearSamples, DegenerateMetric,
                                GridTooCoarse, InconsistentOrientation,
                                NotClosed)
-from pillowfold.mesh import TriMesh
+from pillowfold.mesh import TriMesh, self_intersection_pairs
 from pillowfold.pillowbox import assemble_box
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import (check_crease_planarity, check_flatness,
-                               check_isometry, count_self_intersections,
-                               enclosed_volume, topology_report)
+                               check_isometry, enclosed_volume,
+                               topology_report)
 
 import oracles as oc
 
@@ -156,10 +156,10 @@ def test_count_self_intersections_crossing_pair():
         [0.5, 0.5, -1.0], [1.5, 0.5, 1.0], [0.5, 1.5, 1.0],
     ])
     faces = np.array([[0, 1, 2], [3, 4, 5]])
-    assert count_self_intersections(TriMesh(verts, faces)) == 1
+    assert len(self_intersection_pairs(TriMesh(verts, faces))) == 1
     # sharing a vertex excludes the pair
     faces_shared = np.array([[0, 1, 2], [0, 4, 5]])
-    assert count_self_intersections(TriMesh(verts, faces_shared)) == 0
+    assert len(self_intersection_pairs(TriMesh(verts, faces_shared))) == 0
 
 
 def test_topology_report_cube_and_box():
