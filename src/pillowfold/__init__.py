@@ -4,9 +4,10 @@ profile zeta on [0, L]."""
 
 from .curves import Circle, Helix, Line, ProfileCrease
 from .deformation import (DeformationSchedule, DeformedQuarter,
-                          assemble_deformed, deformed_quarter,
-                          depth_coefficient, horizontal_end_depth,
-                          pattern_scaling_family, validate_schedule)
+                          assemble_deformed, assemble_pattern_scaled,
+                          deformed_quarter, depth_coefficient,
+                          horizontal_end_depth, pattern_scaling_family,
+                          validate_schedule)
 from .development import (PlanarDevelopment, double_rectangle_mesh,
                           pattern_graph, validate_pattern_conditions)
 from .errors import PillowFoldError
@@ -22,15 +23,15 @@ from .verify import (TOLERANCES, CheckReport, PlanarityReport,
                      TopologyReport, box_checks, certify,
                      check_crease_planarity, check_flatness, check_isometry,
                      development_checks, enclosed_volume, family_members,
-                     sweep_trace, topology_report)
+                     state_report, sweep_trace, topology_report)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Circle", "Helix", "Line", "ProfileCrease",
     "DeformationSchedule", "DeformedQuarter", "assemble_deformed",
-    "deformed_quarter", "depth_coefficient", "horizontal_end_depth",
-    "pattern_scaling_family", "validate_schedule",
+    "assemble_pattern_scaled", "deformed_quarter", "depth_coefficient",
+    "horizontal_end_depth", "pattern_scaling_family", "validate_schedule",
     "PlanarDevelopment", "double_rectangle_mesh", "pattern_graph",
     "validate_pattern_conditions",
     "PillowFoldError",
@@ -44,5 +45,5 @@ __all__ = [
     "TOLERANCES", "CheckReport", "PlanarityReport", "TopologyReport",
     "box_checks", "certify", "check_crease_planarity", "check_flatness",
     "check_isometry", "development_checks", "enclosed_volume",
-    "family_members", "sweep_trace", "topology_report",
+    "family_members", "state_report", "sweep_trace", "topology_report",
 ]

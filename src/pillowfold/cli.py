@@ -151,8 +151,8 @@ def _cmd_deform(args) -> int:
     data = _load_data(args.input)
     schedule = _load_schedule(args.schedule)
     n_s, n_v = args.grid
-    sched_report = deformation.validate_schedule(data, schedule)
     if args.sweep is not None:
+        sched_report = deformation.validate_schedule(data, schedule)
         ts = np.linspace(0.0, 1.0, args.sweep)
         rows = verify.sweep_trace(data, schedule, ts, n_s, n_v)
         path = _artifact(args.out, "trace.json")
@@ -161,19 +161,12 @@ def _cmd_deform(args) -> int:
         _emit({"schedule": sched_report.to_dict(), "trace": rows,
                "artifacts": [path] if path else []})
         return 0 if sched_report.valid else 1
-    t = args.t
-    lam = schedule.lam(t)
-    m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
-    topo = verify.topology_report(m)
-    path = _artifact(args.out, f"deformed_t{_fmt_t(t)}.obj")
+    report, m = verify.state_report(data, schedule, args.t, n_s, n_v)
+    path = _artifact(args.out, f"deformed_t{_fmt_t(args.t)}.obj")
     if path:
         mesh.export_obj(m, path)
-    _emit({"t": t, "lam": lam, "mu": schedule.mu(t),
-           "depth": deformation.horizontal_end_depth(data, lam),
-           "weld": m.weld_report, "topology": topo.to_dict(),
-           "schedule": sched_report.to_dict(),
-           "artifacts": [path] if path else []})
-    return 0 if sched_report.valid else 1
+    _emit({**report, "artifacts": [path] if path else []})
+    return 0 if report["schedule"]["valid"] else 1
 
 
 def _cmd_family(args) -> int:

@@ -158,12 +158,16 @@ class CurveWithoutJerk(SpaceCurve):
 class ProfileCrease(SpaceCurve):
     """Folded crease determined by (b, zeta) and a fold parameter lam.
 
-    c(s) = (mu + int_0^s sigma, zeta(s), lam zeta(s)) with
-    sigma = sqrt(1 - (1 + lam^2) zeta'^2), which keeps |c'| = 1 exactly.  The
-    curve lies in the plane z = lam y, so its torsion vanishes identically.
-    Acceleration divides by sigma and refuses evaluation once sigma drops
-    below SIGMA_MIN; at the fully folded parameter lam = 1 that excludes the
-    two endpoints, everywhere else the whole closed interval is fine.
+    c(s) = (mu + int_0^s sigma, alpha zeta(s), lam zeta(s)) with
+    sigma = sqrt(1 - (1 + lam^2) zeta'^2).  With the default alpha = 1,
+    |c'| = 1 exactly.  A pattern-scaling member's folded crease, read over
+    the base abscissa s, is lam = alpha = c
+    (deformation.pattern_scaling_family); velocity and acceleration are then
+    derivatives in that s, not of unit speed.  The curve lies in the plane
+    alpha z = lam y, so its torsion vanishes identically.  Acceleration
+    divides by sigma and refuses evaluation once sigma drops below
+    SIGMA_MIN; at the fully folded parameter lam = 1 that excludes the two
+    endpoints, everywhere else the whole closed interval is fine.
 
     point integrates sigma once per distinct set of abscissae: the cumulative
     integral over [0] + the sorted unique s is kept on the instance, keyed by
@@ -172,12 +176,14 @@ class ProfileCrease(SpaceCurve):
     merged, since each cumulative value depends on the whole point set.
     """
 
-    def __init__(self, data: FundamentalData, lam: float = 1.0, mu: float = 0.0):
+    def __init__(self, data: FundamentalData, lam: float = 1.0, mu: float = 0.0,
+                 alpha: float = 1.0):
         if not np.isfinite(lam):
             raise DomainError("fold parameter must be finite")
         self.data = data
         self.lam = float(lam)
         self.mu = float(mu)
+        self.alpha = float(alpha)
         self.length = data.length
         self.analytic_torsion = 0.0
         self._travel = {}
@@ -208,12 +214,13 @@ class ProfileCrease(SpaceCurve):
                                                           tol=1e-12)
         x = cum[-uniq.size:][inverse].reshape(s_arr.shape)
         z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
-        return np.stack([self.mu + x, z0, self.lam * z0], axis=-1)
+        return np.stack([self.mu + x, self.alpha * z0, self.lam * z0], axis=-1)
 
     def velocity(self, s):
         s_arr = self._check_domain(s)
         z1 = np.asarray(self.data.zeta.eval(s_arr, 1))
-        return np.stack([self._sigma_checked(s_arr), z1, self.lam * z1], axis=-1)
+        return np.stack([self._sigma_checked(s_arr), self.alpha * z1,
+                         self.lam * z1], axis=-1)
 
     def acceleration(self, s):
         s_arr = self._check_domain(s)
@@ -221,7 +228,7 @@ class ProfileCrease(SpaceCurve):
         z1 = np.asarray(self.data.zeta.eval(s_arr, 1))
         z2 = np.asarray(self.data.zeta.eval(s_arr, 2))
         sig_prime = -(1.0 + self.lam ** 2) * z1 * z2 / sig
-        return np.stack([sig_prime, z2, self.lam * z2], axis=-1)
+        return np.stack([sig_prime, self.alpha * z2, self.lam * z2], axis=-1)
 
     def plane_travel(self, s):
         """x-coordinate progress int_0^s sigma (without the mu offset)."""

@@ -145,13 +145,15 @@ def validate_schedule(data: FundamentalData, schedule: DeformationSchedule,
     return ScheduleReport(entries, all(e["passed"] for e in entries))
 
 
-def quarter_domain(data: FundamentalData, s, v, slack: float) -> tuple:
-    """(s, v) as arrays of one shape, after checking v in [zeta - b, zeta]
-    up to a tolerance loosened by slack.  Every quarter map (folded,
-    deformed, developed) is defined on this domain."""
+def quarter_domain(data: FundamentalData, s, v, slack: float,
+                   scale: float = 1.0) -> tuple:
+    """(s, v) as arrays of one shape, after checking v in
+    [scale zeta - b, scale zeta] up to a tolerance loosened by slack.  Every
+    quarter map (folded, deformed, pattern-scaled, developed) is defined on
+    this domain."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-    z0 = np.asarray(data.zeta.eval(s_arr, 0))
+    z0 = scale * np.asarray(data.zeta.eval(s_arr, 0))
     tol = 1e-9 * max(data.length, data.b) + slack
     if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - data.b - tol):
         raise OutOfDomain("v outside [zeta - b, zeta]")
@@ -160,21 +162,40 @@ def quarter_domain(data: FundamentalData, s, v, slack: float) -> tuple:
 
 class DeformedQuarter:
     """Embedding X(s, v) = crease(s) + v xi of one quarter at fold parameter
-    lam, drift mu; xi is xi_upper for v >= 0 and xi_lower below.  The folded
-    box is lam = 1 (pillowbox.QuarterParametrization)."""
+    lam, drift mu, of the pattern-scaling member at c = scale, written over
+    the abscissa s of data's profile zeta; xi is xi_upper for v >= 0 and
+    xi_lower below, the rulings of lam.  The crease is
 
-    def __init__(self, data: FundamentalData, lam: float, mu: float = 0.0):
+        (mu + int_0^s sigma_{lam scale}, scale zeta(s), lam scale zeta(s)),
+        sigma_k = sqrt(1 - (1 + k^2) zeta'^2),
+
+    on v in [scale zeta - b, scale zeta].  At scale = 1 this is the deformed
+    quarter of data itself, and the folded box is lam = 1
+    (pillowbox.QuarterParametrization).  At scale = c it is the member's
+    quarter at lam read at base abscissa u instead of the member's own arc
+    length s_t(u) (see pattern_scaling_family): sigma_member ds =
+    sigma_{lam c} du.  Construction raises ScheduleViolation unless
+    admissibility_margin(data, lam scale) > 0, which has the sign of the
+    member's own margin at lam."""
+
+    def __init__(self, data: FundamentalData, lam: float, mu: float = 0.0,
+                 scale: float = 1.0):
         if not np.isfinite(lam) or not np.isfinite(mu):
             raise DomainError("fold parameter and drift must be finite")
-        margin = admissibility_margin(data, lam)
+        if not np.isfinite(scale):
+            raise DomainError("scale must be finite")
+        margin = admissibility_margin(data, lam * scale)
         if margin <= 0.0:
             raise ScheduleViolation(
-                f"fold parameter {lam} makes sigma^2 reach {margin:.3e} <= 0")
+                f"fold parameter {lam * scale} makes sigma^2 reach "
+                f"{margin:.3e} <= 0")
         self.data = data
         self.lam = float(lam)
         self.mu = float(mu)
+        self.scale = float(scale)
         self.length = data.length
-        self.crease = ProfileCrease(data, lam=self.lam, mu=self.mu)
+        self.crease = ProfileCrease(data, lam=self.lam * self.scale,
+                                    mu=self.mu, alpha=self.scale)
         denom = 1.0 + self.lam ** 2
         self.xi_upper = np.array([0.0, (self.lam ** 2 - 1.0) / denom,
                                   -2.0 * self.lam / denom])
@@ -183,7 +204,8 @@ class DeformedQuarter:
     def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
         """domain_slack loosens the v-domain check; finite-difference
         stencils straddling the curved boundary need a little room."""
-        s_arr, v_arr = quarter_domain(self.data, s, v, domain_slack)
+        s_arr, v_arr = quarter_domain(self.data, s, v, domain_slack,
+                                      self.scale)
         base = self.crease.point(s_arr)
         ruling = np.where((v_arr >= 0.0)[..., None], self.xi_upper, self.xi_lower)
         return base + v_arr[..., None] * ruling
@@ -197,17 +219,19 @@ class DeformedQuarter:
         xi = {"upper": self.xi_upper, "lower": self.xi_lower}[side]
 
         def strip(s, v):
-            s_arr, v_arr = quarter_domain(self.data, s, v, slack)
+            s_arr, v_arr = quarter_domain(self.data, s, v, slack, self.scale)
             return self.crease.point(s_arr) + v_arr[..., None] * xi
         return strip
 
+    def _top(self, s) -> np.ndarray:
+        s_arr = np.atleast_1d(np.asarray(s, float))
+        return self.scale * np.asarray(self.data.zeta.eval(s_arr, 0))
+
     def vertical_end(self, s) -> np.ndarray:
-        z0 = np.asarray(self.data.zeta.eval(np.atleast_1d(np.asarray(s, float)), 0))
-        return self.X(s, z0 - self.data.b)
+        return self.X(s, self._top(s) - self.data.b)
 
     def horizontal_end(self, s) -> np.ndarray:
-        z0 = np.asarray(self.data.zeta.eval(np.atleast_1d(np.asarray(s, float)), 0))
-        return self.X(s, z0)
+        return self.X(s, self._top(s))
 
 
 def deformed_quarter(data: FundamentalData, schedule: DeformationSchedule,
@@ -260,7 +284,8 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
 
         m(u) = sqrt(1 - zeta'^2 + c^2 zeta'^2) = sqrt(1 - k zeta'^2),
 
-    so s_t(u) = int_0^u m is one monotone map and, with u = s_t^-1(s),
+    so s_t(u) = int_0^u m is one monotone map, the profile's travel, and
+    with u = s_t^-1(s)
 
         zeta_t = c zeta(u),  zeta_t' = c zeta'/m,  zeta_t'' = c zeta''/m^4,
 
@@ -268,6 +293,14 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
     Admissible data have |zeta'| <= 1/sqrt2, so m >= sqrt(1 - zeta'^2) >=
     1/sqrt2: the map has no square-root zero even where the base end slope
     is critical.  At t = 0 the rate is 1 and the member is zeta itself.
+
+    The member's folded quarter is the base's DeformedQuarter(data, 1,
+    scale=c), read at u: its crease's rate is sigma_t = sqrt(1 - 2
+    zeta_t'^2) = sqrt(1 - (1 + c^2) zeta'^2) / m, so sigma_t ds = sigma_c
+    du, and its y and z are c zeta(u).  For the same reason 1 - 2 zeta_t'^2
+    = (1 - (1 + c^2) zeta'^2) / m^2 has the sign of
+    admissibility_margin(data, c)'s samples.  assemble_pattern_scaled
+    builds the member's box that way.
     """
     if not np.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"t must lie in [0, 1), got {t}")
@@ -289,6 +322,29 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
         return c * np.asarray(zeta.eval(u, 2)) / rate(u) ** 4
 
     zeta_t = ProfileFunction(travel.total, "pattern-scaled", evaluator,
-                             {"t": float(t), "base_kind": zeta.kind})
+                             {"t": float(t), "base_kind": zeta.kind}, travel)
     return FundamentalData(data.b, zeta_t)
 
+
+def assemble_pattern_scaled(data: FundamentalData, t: float, n_s: int,
+                            n_v: int) -> tuple[FundamentalData, TriMesh]:
+    """The pattern-scaling member at t and its closed box.
+
+    The box is pillowbox.assemble_box(member)'s grid, columns evenly spaced
+    in the member's arc length s, but each column is sampled at its base
+    abscissa u = s_t^-1(s) by DeformedQuarter(data, 1, scale=c) (see
+    pattern_scaling_family): the inverse map runs once per column, and
+    the crease travel integrates sigma_c of the base profile.  Faces, face
+    labels and welds are assemble_box(member)'s; vertices agree to the
+    quadrature's rounding.  Every weld is required, as in assemble_box.
+    """
+    member = pattern_scaling_family(data, t)
+    c = 1.0 - t
+    quarter = DeformedQuarter(data, 1.0, scale=c)
+
+    def columns(s):
+        u = member.zeta.travel.inverse(s)
+        return u, c * np.asarray(data.zeta.eval(u, 0))
+    return member, assemble_reflected(quarter.X, member, n_s, n_v,
+                                      columns=columns,
+                                      require_horizontal_weld=True)

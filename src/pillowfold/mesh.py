@@ -35,9 +35,10 @@ class TriMesh:
     """Vertices (n, 3) float64 and triangles (m, 3) int64, 0-based.
 
     face_labels, where the layout is known, is (m, 2): each face's slab and
-    piece (see above).  The undirected edge table and the face normals are
-    computed on first use and kept; vertices and faces are not reassigned
-    after construction, so they cannot go stale.
+    piece (see above).  The undirected edge table, the face corners, the
+    face normals and the bounding-box diagonal are computed on first use and
+    kept; vertices and faces are not reassigned after construction, so they
+    cannot go stale.
     """
 
     vertices: np.ndarray
@@ -48,6 +49,10 @@ class TriMesh:
                                       repr=False)
     _normals: tuple | None = field(default=None, init=False, compare=False,
                                    repr=False)
+    _corners: np.ndarray | None = field(default=None, init=False,
+                                        compare=False, repr=False)
+    _diagonal: float | None = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -68,10 +73,22 @@ class TriMesh:
         return int(self.faces.shape[0])
 
     def diagonal(self) -> float:
-        if not len(self.vertices):
-            return 0.0
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(span))
+        """Length of the bounding box's diagonal, computed once per mesh."""
+        if self._diagonal is None:
+            if not len(self.vertices):
+                self._diagonal = 0.0
+            else:
+                span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+                self._diagonal = float(np.linalg.norm(span))
+        return self._diagonal
+
+    def corners(self) -> np.ndarray:
+        """Each face's three corners, vertices[faces], (m, 3, 3); a read-only
+        array computed once per mesh."""
+        if self._corners is None:
+            self._corners = self.vertices[self.faces]
+            self._corners.flags.writeable = False
+        return self._corners
 
     def _edge_keys(self, undirected: bool) -> np.ndarray:
         """Each face edge (i, j) as the int64 key i * n_vertices + j, with
@@ -122,7 +139,7 @@ class TriMesh:
     def signed_volume(self) -> float:
         """Sum of det(p0, p1, p2) / 6 over the triangles: the enclosed volume
         when the mesh is closed and consistently oriented."""
-        p = self.vertices[self.faces]
+        p = self.corners()
         return float(np.einsum('ij,ij->', p[:, 0],
                                np.cross(p[:, 1], p[:, 2])) / 6.0)
 
@@ -132,7 +149,7 @@ class TriMesh:
         operation is per face, so the rows of a subset carry the same bits
         as the same products taken over that subset alone."""
         if self._normals is None:
-            p = self.vertices[self.faces]
+            p = self.corners()
             normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
             length = np.linalg.norm(normal, axis=1)
             normal.flags.writeable = length.flags.writeable = False
@@ -216,8 +233,7 @@ def sample_and_triangulate(X, data, n_s: int, n_v: int) -> TriMesh:
     """
     if n_s < 2 or n_v < 2:
         raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
-    s_values = np.linspace(0.0, data.length, n_s + 1)
-    zeta_values = _snapped_zeta(data, s_values)
+    s_values, zeta_values = _grid_columns(data, n_s, None)
     n_lower = n_v // 2
     n_upper = n_v - n_lower
     verts, _, faces, _ = sample_quarter(X, s_values, zeta_values, data.b,
@@ -225,11 +241,20 @@ def sample_and_triangulate(X, data, n_s: int, n_v: int) -> TriMesh:
     return TriMesh(verts, faces)
 
 
-def _snapped_zeta(data, s_values: np.ndarray, bc_tol: float = 1e-9) -> np.ndarray:
-    z = np.asarray(data.zeta.eval(s_values, 0), dtype=float).copy()
-    ends = (s_values <= 0.0) | (s_values >= data.length)
-    z[ends & (np.abs(z) <= bc_tol)] = 0.0
-    return z
+def _grid_columns(data, n_s: int, columns, bc_tol: float = 1e-9) -> tuple:
+    """The abscissae of the n_s + 1 grid columns and their heights, the top
+    of each column's v range.  columns maps the even steps s over
+    [0, data.length] to both; None takes s itself and data's zeta(s).  A
+    first or last height within bc_tol of 0 is snapped to 0."""
+    s_values = np.linspace(0.0, data.length, n_s + 1)
+    if columns is None:
+        z = data.zeta.eval(s_values, 0)
+    else:
+        s_values, z = columns(s_values)
+    z = np.array(z, dtype=float)
+    ends = z[[0, -1]]
+    z[[0, -1]] = np.where(np.abs(ends) <= bc_tol, 0.0, ends)
+    return s_values, z
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +268,7 @@ _PIECE_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
                          [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
 
 
-def assemble_reflected(X, data, n_s: int, n_v: int, *,
+def assemble_reflected(X, data, n_s: int, n_v: int, *, columns=None,
                        weld_tol: float | None = None,
                        require_horizontal_weld: bool = False) -> TriMesh:
     """Weld the four reflected copies of a quarter into one mesh.
@@ -257,12 +282,13 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *,
     WeldFailure.  The weld report gives each correspondence's status and
     worst gap, and the tolerance.  Each face is labelled with its slab and
     its piece k (see _PIECE_SIGNS); X must be a quarter map, whose x depends
-    on s alone and increases with it, and which is injective.
+    on s alone and increases with it, and which is injective.  The columns
+    are evenly spaced over [0, data.length] unless columns maps those steps
+    to X's own abscissae and heights (see _grid_columns).
     """
     if n_s < 2 or n_v < 2:
         raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
-    s_values = np.linspace(0.0, data.length, n_s + 1)
-    zeta_values = _snapped_zeta(data, s_values)
+    s_values, zeta_values = _grid_columns(data, n_s, columns)
     n_lower = n_v // 2
     n_upper = n_v - n_lower
     verts0, idx, faces0, slabs = sample_quarter(X, s_values, zeta_values,
@@ -389,7 +415,7 @@ def self_intersection_pairs(mesh: TriMesh,
     """
     if mesh.n_faces < 2:
         return []
-    P = mesh.vertices[mesh.faces]          # (F, 3, 3)
+    P = mesh.corners()                     # (F, 3, 3)
     p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
     lo = np.minimum(np.minimum(p0, p1), p2)
     hi = np.maximum(np.maximum(p0, p1), p2)
@@ -495,6 +521,9 @@ def min_triangle_area_check(mesh: TriMesh) -> None:
 # File emission
 # ---------------------------------------------------------------------------
 
+_OBJ_BLOCK = 4096          # OBJ records per %-format
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
@@ -502,16 +531,22 @@ def _fmt(x: float) -> str:
 def export_obj(mesh: TriMesh, path) -> None:
     """ASCII OBJ, v/f records, 1-based indices, 9 significant digits.
 
-    Each block is one %-format over the flat list of its numbers; '%.9g'
-    and '%d' give the same text as the format spec '.9g' and str, so the
-    bytes are those of one f-string per record."""
+    Records go out in blocks of _OBJ_BLOCK, each one %-format over the flat
+    list of its numbers; '%.9g' and '%d' give the same text as the format
+    spec '.9g' and str, so the bytes are those of one f-string per record.
+    Blocks keep the Python numbers and text of one block alive at a time,
+    not those of the whole mesh."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("# pillowfold triangle mesh\n")
-            fh.write(("v %.9g %.9g %.9g\n" * mesh.n_vertices)
-                     % tuple(mesh.vertices.ravel().tolist()))
-            fh.write(("f %d %d %d\n" * mesh.n_faces)
-                     % tuple((mesh.faces + 1).ravel().tolist()))
+            for start in range(0, mesh.n_vertices, _OBJ_BLOCK):
+                block = mesh.vertices[start:start + _OBJ_BLOCK]
+                fh.write(("v %.9g %.9g %.9g\n" * len(block))
+                         % tuple(block.ravel().tolist()))
+            for start in range(0, mesh.n_faces, _OBJ_BLOCK):
+                block = mesh.faces[start:start + _OBJ_BLOCK] + 1
+                fh.write(("f %d %d %d\n" * len(block))
+                         % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

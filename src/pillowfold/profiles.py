@@ -36,16 +36,19 @@ class ProfileFunction:
     "reparam" (graph_to_arclength_profile), "graph"
     (development.pattern_graph) and "pattern-scaled"
     (deformation.pattern_scaling_family: one monotone map over the base arc
-    length).
+    length).  travel, where set, is that map: s = travel.forward(u) takes
+    the base abscissa u to this profile's s.
     """
 
-    def __init__(self, length: float, kind: str, evaluator, params: dict | None = None):
+    def __init__(self, length: float, kind: str, evaluator, params: dict | None = None,
+                 travel: _MonotoneMap | None = None):
         if not np.isfinite(length) or length <= 0:
             raise DomainError(f"profile length must be positive, got {length}")
         self.length = float(length)
         self.kind = kind
         self._evaluator = evaluator
         self.params = dict(params or {})
+        self.travel = travel
 
     # -- evaluation ---------------------------------------------------------
 

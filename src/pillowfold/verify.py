@@ -404,13 +404,16 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
 
 def family_members(data: FundamentalData, t_values, n_s: int, n_v: int):
     """Per t, the pattern-scaling member's (row, box, passed): passed means
-    a closed sphere whose width is the base's to 1e-6.  Volume order is left
-    to the caller to report; pattern scaling can raise the volume at small t
-    (the hyperbolic arch of length 2.402, width 1.411 with b = 0.761 does)."""
+    a closed sphere whose width is the base's to 1e-6.  The box is sampled
+    over the base arc length (deformation.assemble_pattern_scaled); the
+    width integrates the member's own arc-length profile, whose nested map
+    that sampling does not use, so the map and its inverse are checked
+    against each other.  Volume order is left to the caller to report;
+    pattern scaling can raise the volume at small t (the hyperbolic arch of
+    length 2.402, width 1.411 with b = 0.761 does)."""
     base_width = 2.0 * data.half_width()
     for t in t_values:
-        member = deformation.pattern_scaling_family(data, t)
-        box = pillowbox.assemble_box(member, n_s, n_v)
+        member, box = deformation.assemble_pattern_scaled(data, t, n_s, n_v)
         topo = topology_report(box)
         width = 2.0 * member.half_width()
         row = {"t": t, "closed": topo.closed, "euler": topo.euler,
@@ -418,6 +421,21 @@ def family_members(data: FundamentalData, t_values, n_s: int, n_v: int):
                "width_gap": abs(width - base_width)}
         yield row, box, topo.closed and topo.euler == 2 \
             and row["width_gap"] <= 1e-6
+
+
+def state_report(data: FundamentalData, schedule, t: float, n_s: int,
+                 n_v: int) -> tuple[dict, TriMesh]:
+    """One deformed state: its fold parameter and drift, closure depth, weld
+    report, topology (with intersections) and the schedule's validity, as
+    `deform --t` reports them, and its mesh."""
+    sched_report = deformation.validate_schedule(data, schedule)
+    lam = schedule.lam(t)
+    m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
+    topo = topology_report(m)
+    return {"t": t, "lam": lam, "mu": schedule.mu(t),
+            "depth": deformation.horizontal_end_depth(data, lam),
+            "weld": m.weld_report, "topology": topo.to_dict(),
+            "schedule": sched_report.to_dict()}, m
 
 
 def sweep_trace(data: FundamentalData, schedule, t_values, n_s: int,

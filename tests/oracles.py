@@ -5,12 +5,14 @@ differentiation: composite Simpson on fixed grids, plain finite differences,
 and closed forms.  The frozen constants were produced by these same oracles
 (cross-checked at much higher resolution) before the library existed; tests
 compare library output against them, never the other way round.  The
-exceptions are: the intersection oracle, a one-pass copy of the library's
-triangle-pair test (Moller's interval test, as it was before the library
-staged it) run on every pair, with no candidate search or filter; the OBJ
-oracle, the f-string writer the library's one-format writer must match byte
-for byte; the assembly oracle, which calls the library's surface map and
-tolerance factors but samples, triangulates and welds with plain loops and a
+exceptions are: the frozen library mesh volumes (V_64x32, V_128x64,
+FAMILY_VOLUMES_48x24), which pin the library's own output; the
+intersection oracle, a one-pass copy of the library's triangle-pair test
+(Moller's interval test, as it was before the library staged it) run on
+every pair, with no candidate search or filter; the OBJ oracle, the
+f-string writer the library's %-format writer must match byte for byte;
+the assembly oracle, which calls the library's surface map and tolerance
+factors but samples, triangulates and welds with plain loops and a
 union-find; and the separate-call Simpson oracle, the batched adaptive
 Simpson with one integrand call per point array, against which the library's
 one-call-per-sweep version must agree to the bit.
@@ -57,6 +59,14 @@ V_64x32 = 1.159379094567569                 # frozen library mesh volumes
 V_128x64 = 1.159653885181611
 V_REL_64_128 = 4e-4                         # measured 2.37e-4, O(h^2) margin
 V_REL_128_CONT = 2e-4                       # measured 8.0e-5
+
+# the demo's default `family --pattern-scaling` rows at 48x24: frozen
+# library mesh volumes at t = 0, 0.25, 0.5, 0.75, 0.95, taken when each
+# member's box was still assembled through the member's nested profile
+FAMILY_T = (0.0, 0.25, 0.5, 0.75, 0.95)
+FAMILY_VOLUMES_48x24 = (1.1590975918785444, 1.0440287501043264,
+                        0.8015266080464648, 0.44907529991043105,
+                        0.09687267732713974)
 
 
 def demo_zeta(s, order: int = 0):
@@ -150,6 +160,23 @@ def separate_call_simpson(fn, lo, hi, tol,
         budget = np.concatenate([half, half])
         floor_per_panel = np.concatenate([floor_per_panel[keep], floor_per_panel[keep]])
     return totals
+
+
+def pattern_member_crease(data, t: float, u) -> np.ndarray:
+    """The pattern-scaling member's folded crease at base abscissae u, in
+    closed form over the base: (int_0^u sigma_c, c zeta(u), c zeta(u)) with
+    c = 1 - t and sigma_c = sqrt(1 - (1 + c^2) zeta'^2), the travel by
+    fixed_simpson.  Accurate to about 1e-15 where sigma_c stays away from 0
+    (t > 0 for every admissible profile)."""
+    c = 1.0 - t
+    u = np.asarray(u, dtype=float)
+
+    def sigma_c(x):
+        return np.sqrt(1.0 - (1.0 + c * c) * np.asarray(data.zeta.eval(x, 1)) ** 2)
+    x = [fixed_simpson(sigma_c, 0.0, float(ui)) if ui > 0.0 else 0.0
+         for ui in u]
+    height = c * np.asarray(data.zeta.eval(u, 0))
+    return np.stack([np.asarray(x), height, height], axis=-1)
 
 
 def central_diff(fn, x, h: float):

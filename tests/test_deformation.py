@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillowfold.curves import ProfileCrease
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     admissibility_margin, assemble_deformed,
-                                    deformed_quarter, depth_coefficient,
-                                    horizontal_end_depth,
+                                    assemble_pattern_scaled, deformed_quarter,
+                                    depth_coefficient, horizontal_end_depth,
                                     pattern_scaling_family, validate_schedule)
 from pillowfold.development import PlanarDevelopment, pattern_graph
 from pillowfold.errors import (DomainError, IoError, NotClosed,
                                ScheduleViolation)
-from pillowfold.pillowbox import QuarterParametrization
+from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import (FundamentalData, ProfileFunction,
                                  graph_to_arclength_profile)
-from pillowfold.verify import enclosed_volume, sweep_trace, topology_report
+from pillowfold.verify import (enclosed_volume, family_members, sweep_trace,
+                               topology_report)
 
 import oracles as oc
 from strategies import admissible_data
@@ -222,7 +224,6 @@ def test_pattern_scaling_family_members():
 
 def test_pattern_scaling_volumes_decrease_continuously():
     data = FundamentalData.demo()
-    from pillowfold.pillowbox import assemble_box
     ts = np.linspace(0.0, 0.95, 11)
     vols = []
     for t in ts:
@@ -275,6 +276,85 @@ def test_pattern_scaling_at_zero_is_the_base(data):
     for order in (0, 1, 2):
         assert np.max(np.abs(member.zeta.eval(s, order)
                              - data.zeta.eval(s, order))) < 1e-14
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data(), st.floats(0.0, 0.95))
+def test_member_box_matches_the_nested_reference(data, t):
+    # the member's box sampled over the base arc length against the generic
+    # assembly through the member's own (nested-map) profile
+    member, box = assemble_pattern_scaled(data, t, 24, 12)
+    ref = assemble_box(member, 24, 12)
+    assert np.array_equal(box.faces, ref.faces)
+    assert np.array_equal(box.face_labels, ref.face_labels)
+    for name in ("vertical_end", "endpoint_columns", "horizontal_end"):
+        assert box.weld_report[name] == ref.weld_report[name] == "welded"
+    assert np.max(np.abs(box.vertices - ref.vertices)) <= 1e-12 * ref.diagonal()
+    # the identity behind it: the member's crease at s_t(u) is the base's
+    # crease at fold parameter c with y scaled by c, to the quadrature's 1e-12
+    c = 1.0 - t
+    u = np.linspace(0.0, data.length, 33)
+    got = ProfileCrease(member, lam=1.0).point(member.zeta.travel.forward(u))
+    want = ProfileCrease(data, lam=c).point(u)
+    want[:, 1] *= c
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("data", [
+    FundamentalData.demo(),
+    FundamentalData(0.6, ProfileFunction.circular(2.0, 2.0)),
+    FundamentalData(0.761, ProfileFunction.hyperbolic(2.402, 1.411)),
+], ids=["demo", "circular", "hyperbolic"])
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.95])
+def test_member_crease_matches_the_closed_form(data, t):
+    # measured at most 2.7e-15 on these boxes
+    member = pattern_scaling_family(data, t)
+    u = np.linspace(0.0, data.length, 17)
+    got = ProfileCrease(member, lam=1.0).point(member.zeta.travel.forward(u))
+    quarter = DeformedQuarter(data, 1.0, scale=1.0 - t)
+    want = oc.pattern_member_crease(data, t, u)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(quarter.crease.point(u) - want)) < 1e-12
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data(), st.floats(0.0, 0.95))
+def test_member_gate_is_the_base_margin_at_c(data, t):
+    # 1 - 2 zeta_t'^2 = (1 - (1 + c^2) zeta'^2) / m^2 at s = s_t(u)
+    member = pattern_scaling_family(data, t)
+    c = 1.0 - t
+    u = data.length * np.arange(1, 512) / 512
+    z1 = np.asarray(data.zeta.eval(u, 1))
+    m2 = 1.0 - (1.0 - c * c) * z1 ** 2
+    zt1 = np.asarray(member.zeta.eval(member.zeta.travel.forward(u), 1))
+    assert np.max(np.abs((1.0 - 2.0 * zt1 ** 2)
+                         - (1.0 - (1.0 + c * c) * z1 ** 2) / m2)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.4, 0.6])
+def test_member_gate_accepts_and_rejects_as_before(t):
+    # end slopes 0.8 > 1/sqrt2: sigma_c^2 = 1 - (1 + c^2) 0.64 at the ends
+    # is negative for c > 0.75, positive below
+    steep = FundamentalData(1.0, ProfileFunction.polynomial([0.0, 0.8, -0.4], 2.0))
+    member = pattern_scaling_family(steep, t)
+    admitted = admissibility_margin(steep, 1.0 - t) > 0.0
+    assert admitted == (admissibility_margin(member, 1.0) > 0.0) == (t > 0.25)
+    if admitted:
+        assert np.array_equal(assemble_pattern_scaled(steep, t, 16, 8)[1].faces,
+                              assemble_box(member, 16, 8).faces)
+        return
+    with pytest.raises(ScheduleViolation):
+        assemble_pattern_scaled(steep, t, 16, 8)
+    with pytest.raises(ScheduleViolation):
+        assemble_box(member, 16, 8)
+
+
+def test_demo_family_rows_are_pinned():
+    rows = [row for row, _, passed in family_members(
+        FundamentalData.demo(), oc.FAMILY_T, 48, 24) if passed]
+    assert len(rows) == len(oc.FAMILY_T)
+    for row, want in zip(rows, oc.FAMILY_VOLUMES_48x24):
+        assert abs(row["volume"] / want - 1.0) <= 1e-12
 
 
 def test_sweep_trace_rows():
