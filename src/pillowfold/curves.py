@@ -1,9 +1,8 @@
 """Arc-length parametrized space curves.
 
 Every curve exposes point/velocity/acceleration on [0, length], vectorized
-over s.  Curves that know their torsion in closed form set analytic_torsion
-(a constant) or provide third_derivative; the frame builder prefers those and
-falls back to finite differences otherwise.
+over s, and its constant torsion as analytic_torsion, which the frame
+builder reads.  The pillow box's crease is planar, so its torsion is 0.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ SIGMA_MIN = 1e-6
 
 
 class SpaceCurve:
-    """Base class; subclasses implement point, velocity, acceleration."""
+    """Base class; subclasses set length and analytic_torsion and implement
+    point, velocity and acceleration."""
 
     length: float
-    analytic_torsion: float | None = None
+    analytic_torsion: float
 
     def _check_domain(self, s):
         arr = np.asarray(s, dtype=float)
@@ -30,129 +30,6 @@ class SpaceCurve:
             bad = arr[(arr < -tol) | (arr > self.length + tol)].flat[0]
             raise DomainError(f"s = {bad} outside [0, {self.length}]")
         return np.clip(arr, 0.0, self.length)
-
-    def point(self, s) -> np.ndarray:
-        raise NotImplementedError
-
-    def velocity(self, s) -> np.ndarray:
-        raise NotImplementedError
-
-    def acceleration(self, s) -> np.ndarray:
-        raise NotImplementedError
-
-
-class Line(SpaceCurve):
-    def __init__(self, origin, direction, length: float = 1.0):
-        d = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(d)
-        if norm == 0:
-            raise DomainError("direction must be nonzero")
-        self.origin = np.asarray(origin, dtype=float)
-        self.direction = d / norm
-        self.length = float(length)
-        self.analytic_torsion = 0.0
-
-    def point(self, s):
-        s = self._check_domain(s)
-        return self.origin + s[..., None] * self.direction
-
-    def velocity(self, s):
-        s = self._check_domain(s)
-        return np.broadcast_to(self.direction, s.shape + (3,)).copy()
-
-    def acceleration(self, s):
-        s = self._check_domain(s)
-        return np.zeros(s.shape + (3,))
-
-
-class Circle(SpaceCurve):
-    """Circle of given radius in the z = 0 plane, one full turn."""
-
-    def __init__(self, radius: float):
-        if radius <= 0:
-            raise DomainError("radius must be positive")
-        self.radius = float(radius)
-        self.length = 2.0 * np.pi * self.radius
-        self.analytic_torsion = 0.0
-
-    def point(self, s):
-        s = self._check_domain(s)
-        th = s / self.radius
-        return np.stack([self.radius * np.cos(th), self.radius * np.sin(th),
-                         np.zeros_like(th)], axis=-1)
-
-    def velocity(self, s):
-        s = self._check_domain(s)
-        th = s / self.radius
-        return np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
-
-    def acceleration(self, s):
-        s = self._check_domain(s)
-        th = s / self.radius
-        return np.stack([-np.cos(th), -np.sin(th), np.zeros_like(th)],
-                        axis=-1) / self.radius
-
-
-class Helix(SpaceCurve):
-    """Circular helix (r cos, r sin, h theta) over a fixed number of turns."""
-
-    def __init__(self, radius: float, pitch: float, turns: float = 1.0):
-        if radius <= 0:
-            raise DomainError("radius must be positive")
-        self.radius = float(radius)
-        self.pitch = float(pitch)
-        self._speed = float(np.hypot(radius, pitch))
-        self.length = 2.0 * np.pi * turns * self._speed
-        self.analytic_torsion = self.pitch / (self._speed ** 2)
-
-    @classmethod
-    def from_curvature_torsion(cls, kappa: float, tau: float,
-                               turns: float = 1.0) -> "Helix":
-        if kappa <= 0:
-            raise DomainError("curvature must be positive")
-        c = kappa * kappa + tau * tau
-        return cls(kappa / c, tau / c, turns)
-
-    def _theta(self, s):
-        return self._check_domain(s) / self._speed
-
-    def point(self, s):
-        th = self._theta(s)
-        return np.stack([self.radius * np.cos(th), self.radius * np.sin(th),
-                         self.pitch * th], axis=-1)
-
-    def velocity(self, s):
-        th = self._theta(s)
-        return np.stack([-self.radius * np.sin(th), self.radius * np.cos(th),
-                         np.full_like(th, self.pitch)], axis=-1) / self._speed
-
-    def acceleration(self, s):
-        th = self._theta(s)
-        return np.stack([-self.radius * np.cos(th), -self.radius * np.sin(th),
-                         np.zeros_like(th)], axis=-1) / self._speed ** 2
-
-    def third_derivative(self, s):
-        th = self._theta(s)
-        return np.stack([self.radius * np.sin(th), -self.radius * np.cos(th),
-                         np.zeros_like(th)], axis=-1) / self._speed ** 3
-
-
-class CurveWithoutJerk(SpaceCurve):
-    """Wrapper hiding any analytic torsion data, forcing the numeric path."""
-
-    def __init__(self, base: SpaceCurve):
-        self.base = base
-        self.length = base.length
-        self.analytic_torsion = None
-
-    def point(self, s):
-        return self.base.point(s)
-
-    def velocity(self, s):
-        return self.base.velocity(s)
-
-    def acceleration(self, s):
-        return self.base.acceleration(s)
 
 
 class ProfileCrease(SpaceCurve):
@@ -229,15 +106,3 @@ class ProfileCrease(SpaceCurve):
         z2 = np.asarray(self.data.zeta.eval(s_arr, 2))
         sig_prime = -(1.0 + self.lam ** 2) * z1 * z2 / sig
         return np.stack([sig_prime, self.alpha * z2, self.lam * z2], axis=-1)
-
-    def plane_travel(self, s):
-        """x-coordinate progress int_0^s sigma (without the mu offset)."""
-        return self.point(s)[..., 0] - self.mu
-
-
-def require_unit_speed(curve: SpaceCurve, s, tol: float = 1e-8) -> None:
-    """Sanity check used by constructors of derived objects."""
-    speed = np.linalg.norm(curve.velocity(s), axis=-1)
-    err = float(np.max(np.abs(speed - 1.0)))
-    if err > tol:
-        raise DomainError(f"curve is not unit speed (max deviation {err:.3e})")

@@ -61,14 +61,6 @@ class CollinearSamples(PillowFoldError):
     """Plane fit requested on samples that do not span a plane."""
 
 
-class NotClosed(PillowFoldError):
-    """Enclosed volume requested on a mesh with boundary or non-manifold edges."""
-
-
-class InconsistentOrientation(PillowFoldError):
-    """Closed mesh has incompatible triangle windings across an edge."""
-
-
 class DegenerateTriangle(PillowFoldError):
     """Mesh contains a triangle below the area threshold."""
 

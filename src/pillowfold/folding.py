@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SpaceCurve
-from .errors import (DegenerateAngle, GridTooCoarse, OutOfDomain,
+from .errors import (DegenerateAngle, DomainError, GridTooCoarse,
                      VanishingCurvature)
 
 KAPPA_MIN = 1e-8
 _SIN_ALPHA_MIN = 1e-12
+# centred-difference step of beta', relative to max(L, 1)
+_BETA_STEP = 1e-6
 
 
 @dataclass
@@ -38,38 +40,20 @@ class FrenetData:
     tau: np.ndarray
 
 
-def frenet_frame(curve: SpaceCurve, s, kappa_min: float = KAPPA_MIN,
-                 fd_step: float = 1e-4) -> FrenetData:
-    """Frenet frame and curvatures at the given arc-length samples.
-
-    Torsion comes from analytic data when the curve provides it; otherwise a
-    five-point stencil differentiates the acceleration (centers clamped away
-    from the interval ends).
-    """
+def frenet_frame(curve: SpaceCurve, s) -> FrenetData:
+    """Frenet frame and curvatures at the given arc-length samples; the
+    torsion is the curve's analytic_torsion."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     T = curve.velocity(s_arr)
     A = curve.acceleration(s_arr)
     kappa = np.linalg.norm(A, axis=-1)
-    if np.any(kappa < kappa_min):
-        bad = s_arr[kappa < kappa_min].flat[0]
+    if np.any(kappa < KAPPA_MIN):
+        bad = s_arr[kappa < KAPPA_MIN].flat[0]
         raise VanishingCurvature(
-            f"curvature below {kappa_min} at s = {bad}")
+            f"curvature below {KAPPA_MIN} at s = {bad}")
     N = A / kappa[..., None]
     B = np.cross(T, N)
-
-    if curve.analytic_torsion is not None:
-        tau = np.full(s_arr.shape, float(curve.analytic_torsion))
-    elif hasattr(curve, "third_derivative"):
-        jerk = curve.third_derivative(s_arr)
-        tau = np.einsum('...j,...j->...', np.cross(T, A), jerk) / kappa ** 2
-    else:
-        h = fd_step * max(curve.length, 1.0)
-        centre = np.clip(s_arr, 2 * h, curve.length - 2 * h)
-        jerk = (curve.acceleration(centre - 2 * h)
-                - 8.0 * curve.acceleration(centre - h)
-                + 8.0 * curve.acceleration(centre + h)
-                - curve.acceleration(centre + 2 * h)) / (12.0 * h)
-        tau = np.einsum('...j,...j->...', np.cross(T, A), jerk) / kappa ** 2
+    tau = np.full(s_arr.shape, float(curve.analytic_torsion))
     return FrenetData(s_arr, T, N, B, kappa, tau)
 
 
@@ -84,26 +68,20 @@ def beta_from_alpha(alpha, alpha_prime, kappa, tau):
 
 
 class DevelopableStrip:
-    """One flat strip attached to a crease along its length.
+    """One flat strip attached to a crease along its length; alpha and
+    alpha_prime are callables of s.  The crease itself is v = 0."""
 
-    alpha and alpha_prime are callables of s.  v_lo/v_hi bound the ruling
-    parameter per s (callables or constants); the crease itself is v = 0.
-    """
-
-    def __init__(self, curve: SpaceCurve, alpha, alpha_prime, v_lo, v_hi):
+    def __init__(self, curve: SpaceCurve, alpha, alpha_prime):
         self.curve = curve
         self.alpha = alpha
         self.alpha_prime = alpha_prime
-        self.v_lo = v_lo if callable(v_lo) else (lambda s, c=float(v_lo): np.full_like(np.asarray(s, dtype=float), c))
-        self.v_hi = v_hi if callable(v_hi) else (lambda s, c=float(v_hi): np.full_like(np.asarray(s, dtype=float), c))
 
     def dual(self) -> "DevelopableStrip":
         """Mirror strip across the osculating plane (alpha negated)."""
         a, ap = self.alpha, self.alpha_prime
         return DevelopableStrip(self.curve,
                                 lambda s: -np.asarray(a(s)),
-                                lambda s: -np.asarray(ap(s)),
-                                self.v_lo, self.v_hi)
+                                lambda s: -np.asarray(ap(s)))
 
     def frame(self, s) -> FrenetData:
         return frenet_frame(self.curve, s)
@@ -121,116 +99,38 @@ class DevelopableStrip:
         return (np.cos(be)[..., None] * fr.tangent
                 + np.sin(be)[..., None] * n_g)
 
-    def point(self, s, v) -> np.ndarray:
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-        tol = 1e-9 * max(self.curve.length, 1.0)
-        lo = np.asarray(self.v_lo(s_arr), dtype=float)
-        hi = np.asarray(self.v_hi(s_arr), dtype=float)
-        if np.any(v_arr < lo - tol) or np.any(v_arr > hi + tol):
-            raise OutOfDomain("ruling parameter v outside the strip")
-        return self.curve.point(s_arr) + v_arr[..., None] * self.ruling(s_arr)
 
-
-@dataclass
-class OrigamiMapRecord:
-    """A crease with its two strips, folding into each other along v = 0."""
-
-    upper: DevelopableStrip
-    lower: DevelopableStrip
-
-    @property
-    def curve(self) -> SpaceCurve:
-        return self.upper.curve
-
-
-def fold_pair(curve: SpaceCurve, alpha, alpha_prime, v_width) -> OrigamiMapRecord:
-    """Strip on alpha and its mirror image, each of breadth v_width."""
-    upper = DevelopableStrip(curve, alpha, alpha_prime, 0.0, v_width)
-    lower = DevelopableStrip(curve, alpha, alpha_prime, 0.0, v_width).dual()
-    return OrigamiMapRecord(upper, lower)
-
-
-def strip_geometry(strip: DevelopableStrip, s) -> dict:
-    """Pointwise invariants of the strip along the crease."""
-    fr = strip.frame(s)
-    al = np.asarray(strip.alpha(fr.s), dtype=float)
-    ap = np.asarray(strip.alpha_prime(fr.s), dtype=float)
-    be = beta_from_alpha(al, ap, fr.kappa, fr.tau)
-    return {
-        "s": fr.s,
-        "kappa": fr.kappa,
-        "tau": fr.tau,
-        "alpha": al,
-        "beta": be,
-        "kappa_g": fr.kappa * np.cos(al),
-        "kappa_n": fr.kappa * np.sin(al),
-        "tau_g": fr.tau + ap,
-        "ruling": strip.ruling(fr.s),
-    }
-
-
-def beta_derivative(strip: DevelopableStrip, s, h_factor: float = 1e-6):
+def beta_derivative(strip: DevelopableStrip, s):
     """Centered difference of the ruling angle; beta is smooth wherever the
     frame is, so this is accurate to ~h^2."""
-    h = h_factor * max(strip.curve.length, 1.0)
+    h = _BETA_STEP * max(strip.curve.length, 1.0)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     centre = np.clip(s_arr, h, strip.curve.length - h)
     return (np.asarray(strip.beta(centre + h))
             - np.asarray(strip.beta(centre - h))) / (2.0 * h)
 
 
-@dataclass
-class MetricSample:
-    """First fundamental form at (s, v) samples, measured and closed form."""
-
-    s: np.ndarray
-    v: np.ndarray
-    measured: tuple
-    closed: tuple
-
-    def max_discrepancy(self) -> float:
-        return float(max(np.max(np.abs(m - c))
-                         for m, c in zip(self.measured, self.closed)))
-
-
-def first_fundamental_form(strip: DevelopableStrip, s, v,
-                           h_factor: float = 1e-5) -> MetricSample:
-    """Metric of X(s, v) = c(s) + v xi(s).
-
-    measured: centered differences of the embedding.  closed: the developable
+def first_fundamental_form(strip: DevelopableStrip, s, v) -> tuple:
+    """Metric (E, F, G) of X(s, v) = c(s) + v xi(s) from the developable
     strip identity E = (sin(beta) - v (beta' + kappa_g))^2 + cos^2(beta),
-    F = cos(beta), G = 1.
-    """
+    F = cos(beta), G = 1."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-    L = strip.curve.length
-    h = h_factor * max(L, 1.0)
-    if np.any(s_arr < h) or np.any(s_arr > L - h):
-        raise OutOfDomain("metric stencil leaves the parameter interval")
-
-    def emb(ss, vv):
-        return strip.curve.point(ss) + vv[..., None] * strip.ruling(ss)
-
-    Xs = (emb(s_arr + h, v_arr) - emb(s_arr - h, v_arr)) / (2.0 * h)
-    Xv = strip.ruling(s_arr)
-    E_m = np.einsum('...j,...j->...', Xs, Xs)
-    F_m = np.einsum('...j,...j->...', Xs, Xv)
-    G_m = np.einsum('...j,...j->...', Xv, Xv)
-
     fr = strip.frame(s_arr)
     al = np.asarray(strip.alpha(fr.s), dtype=float)
     be = beta_from_alpha(al, strip.alpha_prime(fr.s), fr.kappa, fr.tau)
     bp = beta_derivative(strip, s_arr)
     kg = fr.kappa * np.cos(al)
-    E_c = (np.sin(be) - v_arr * (bp + kg)) ** 2 + np.cos(be) ** 2
-    F_c = np.cos(be)
-    G_c = np.ones_like(E_c)
-    return MetricSample(s_arr, v_arr, (E_m, F_m, G_m), (E_c, F_c, G_c))
+    E = (np.sin(be) - v_arr * (bp + kg)) ** 2 + np.cos(be) ** 2
+    return E, np.cos(be), np.ones_like(E)
 
 
 def interior_grid(length: float, n: int, eps: float = 1e-3) -> np.ndarray:
-    """n samples of [0, L] shrunk by the endpoint guard fraction eps."""
+    """n samples of [0, L] shrunk by the endpoint guard fraction eps, which
+    must lie in (0, 1/2) for the grid to run forward inside the interval."""
     if n < 3:
         raise GridTooCoarse("need at least 3 samples")
+    if not 0.0 < eps < 0.5:
+        raise DomainError(f"endpoint guard fraction must lie in (0, 0.5), "
+                          f"got {eps}")
     return np.linspace(eps * length, (1.0 - eps) * length, n)

@@ -159,11 +159,6 @@ class TriMesh:
     def triangle_areas(self) -> np.ndarray:
         return 0.5 * self.face_normals()[1]
 
-    def translated(self, offset) -> "TriMesh":
-        return TriMesh(self.vertices + np.asarray(offset, dtype=float),
-                       self.faces.copy(), weld_report=self.weld_report,
-                       face_labels=self.face_labels)
-
 
 # ---------------------------------------------------------------------------
 # Quarter-grid sampling and triangulation
@@ -223,22 +218,6 @@ def sample_quarter(X, s_values: np.ndarray, zeta_values: np.ndarray, b: float,
     verts, idx = _grid_indices(pts, _DEDUPE_FACTOR * max(scale, 1.0))
     faces, slabs = _grid_faces(idx, crease_row=n_lower)
     return verts, idx, faces, slabs
-
-
-def sample_and_triangulate(X, data, n_s: int, n_v: int) -> TriMesh:
-    """Triangulate one quarter domain as an open mesh.
-
-    n_v counts total v intervals per column and is split evenly between the
-    lower and upper strips, keeping the v = 0 crease row.
-    """
-    if n_s < 2 or n_v < 2:
-        raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
-    s_values, zeta_values = _grid_columns(data, n_s, None)
-    n_lower = n_v // 2
-    n_upper = n_v - n_lower
-    verts, _, faces, _ = sample_quarter(X, s_values, zeta_values, data.b,
-                                        n_lower, n_upper)
-    return TriMesh(verts, faces)
 
 
 def _grid_columns(data, n_s: int, columns, bc_tol: float = 1e-9) -> tuple:
@@ -549,24 +528,6 @@ def export_obj(mesh: TriMesh, path) -> None:
                          % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoError(str(exc)) from exc
-
-
-def load_obj(path) -> TriMesh:
-    verts, faces = [], []
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                if parts[0] == "v":
-                    verts.append([float(p) for p in parts[1:4]])
-                elif parts[0] == "f":
-                    faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return TriMesh(np.asarray(verts, dtype=float),
-                   np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def export_svg(path, width: float, height: float, polylines: list,

@@ -4,7 +4,7 @@ The folded quarter is deformation.DeformedQuarter at lam = 1, mu = 0: the
 crease c(s) = (int_0^s sigma, zeta, zeta) with sigma = sqrt(1 - 2 zeta'^2),
 ruled by the constant (0, 0, -1) above and (0, -1, 0) below.  This module
 adds the same two strips written through the crease's Frenet frame, which the
-curved-fold kernel measures (ruling angles, dual metrics), cos(beta), and
+curved-fold kernel measures (ruling angles, dual metrics), and
 assemble_box.  The embedding uses the constant rulings, since the
 Frenet-based formulas degenerate at the interval ends (sigma -> 0) while the
 surface itself stays perfectly smooth there.
@@ -50,24 +50,14 @@ class QuarterParametrization(DeformedQuarter):
 
     def __init__(self, data: FundamentalData):
         super().__init__(data, 1.0, 0.0)
-        alpha, alpha_prime = _alpha_functions(data)
-        zeta = data.zeta
-        self.upper_strip = DevelopableStrip(
-            self.crease, alpha, alpha_prime,
-            0.0, lambda s: np.asarray(zeta.eval(s, 0)))
-        self.lower_strip = DevelopableStrip(
-            self.crease, lambda s: -np.asarray(alpha(s)),
-            lambda s: -np.asarray(alpha_prime(s)),
-            lambda s: np.asarray(zeta.eval(s, 0)) - data.b, 0.0)
+        self.upper_strip = DevelopableStrip(self.crease,
+                                            *_alpha_functions(data))
+        self.lower_strip = self.upper_strip.dual()
 
     def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
         # DeformedQuarter.X; defined here too so that perfbench's tracer,
         # which hooks methods by class and name, times the folded quarter.
         return super().X(s, v, domain_slack)
-
-    def cos_beta(self, s):
-        """cos of the ruling angle, equal to -zeta' on both strips."""
-        return -np.asarray(self.data.zeta.eval(s, 1))
 
 
 def assemble_box(data: FundamentalData, n_s: int, n_v: int) -> TriMesh:

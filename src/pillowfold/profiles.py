@@ -32,11 +32,10 @@ class ProfileFunction:
 
     Construct through the classmethods or from_descriptor; kinds "hyperbolic",
     "circular", "poly" and "table" round-trip through JSON descriptors, while
-    derived profiles evaluate but do not serialize: "scaled" (scaled),
-    "reparam" (graph_to_arclength_profile), "graph"
-    (development.pattern_graph) and "pattern-scaled"
-    (deformation.pattern_scaling_family: one monotone map over the base arc
-    length).  travel, where set, is that map: s = travel.forward(u) takes
+    derived profiles evaluate but do not serialize: "reparam"
+    (graph_to_arclength_profile), "graph" (development.pattern_graph) and
+    "pattern-scaled" (deformation.pattern_scaling_family: one monotone map
+    over the base arc length).  travel, where set, is that map: s = travel.forward(u) takes
     the base abscissa u to this profile's s.
     """
 
@@ -68,15 +67,6 @@ class ProfileFunction:
         if np.isscalar(s) or np.ndim(s) == 0:
             return float(out)
         return out
-
-    def scaled(self, factor: float) -> "ProfileFunction":
-        """Same abscissa, values multiplied by a positive factor."""
-        if not np.isfinite(factor) or factor <= 0:
-            raise DomainError(f"scale factor must be positive, got {factor}")
-        inner = self._evaluator
-        return ProfileFunction(self.length, "scaled",
-                               lambda s, order: factor * np.asarray(inner(s, order)),
-                               params={"factor": factor, "base_kind": self.kind})
 
     # -- constructors -------------------------------------------------------
 

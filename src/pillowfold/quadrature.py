@@ -100,14 +100,6 @@ def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndar
     return totals
 
 
-def adaptive_simpson(fn, a: float, b: float, tol: float = 1e-10,
-                     max_panels: int = MAX_PANELS) -> float:
-    """Adaptive Simpson integral of fn over [a, b] to absolute tolerance tol."""
-    if a == b:
-        return 0.0
-    return float(integrate_segments(fn, [a], [b], [tol], max_panels=max_panels)[0])
-
-
 def cumulative_integral(fn, points, tol: float = 1e-12,
                         max_panels: int = MAX_PANELS) -> np.ndarray:
     """Cumulative integral of fn along ascending points, zero at points[0].

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation, development, folding, pillowbox
-from .errors import (CollinearSamples, DegenerateMetric, GridTooCoarse,
-                     InconsistentOrientation, NotClosed)
+from .errors import CollinearSamples, DegenerateMetric, GridTooCoarse
 from .mesh import (TriMesh, min_triangle_area_check, quarter_grid_v,
                    self_intersection_pairs)
 from .profiles import FundamentalData
@@ -185,17 +184,6 @@ class TopologyReport:
                 "volume_valid": self.volume_valid}
 
 
-def enclosed_volume(mesh: TriMesh) -> float:
-    """Signed volume of a closed, consistently oriented mesh."""
-    if not mesh.is_closed():
-        raise NotClosed(
-            f"mesh has {mesh.boundary_edge_count()} boundary and "
-            f"{mesh.nonmanifold_edge_count()} non-manifold edges")
-    if not mesh.orientation_consistent():
-        raise InconsistentOrientation("triangle windings disagree across an edge")
-    return mesh.signed_volume()
-
-
 def topology_report(mesh: TriMesh, count_intersections: bool = True) -> TopologyReport:
     """Combinatorial and geometric summary of a welded mesh."""
     min_triangle_area_check(mesh)
@@ -337,8 +325,8 @@ def _dichotomy_check(data, n_s, eps):
     strip = pillowbox.QuarterParametrization(data).upper_strip
     s = folding.interior_grid(data.length, n_s, eps)
     v = np.full_like(s, 0.1 * data.b)
-    base = folding.first_fundamental_form(strip, s, v).closed
-    dual = folding.first_fundamental_form(strip.dual(), s, v).closed
+    base = folding.first_fundamental_form(strip, s, v)
+    dual = folding.first_fundamental_form(strip.dual(), s, v)
     gap = float(max(np.max(np.abs(b - d)) for b, d in zip(base, dual)))
     return CheckReport.bounded("dual-metric-agreement", f"{n_s}", gap,
                                (0.0, 0.0), 1e-8)

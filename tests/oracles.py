@@ -13,17 +13,21 @@ every pair, with no candidate search or filter; the OBJ oracle, the
 f-string writer the library's %-format writer must match byte for byte;
 the assembly oracle, which calls the library's surface map and tolerance
 factors but samples, triangulates and welds with plain loops and a
-union-find; and the separate-call Simpson oracle, the batched adaptive
+union-find; the separate-call Simpson oracle, the batched adaptive
 Simpson with one integrand call per point array, against which the library's
-one-call-per-sweep version must agree to the bit.
+one-call-per-sweep version must agree to the bit; and the measured metric,
+centred differences of a library strip's embedding.  Helix is the one
+twisted crease the Frenet kernel is tested on, in closed form, and load_obj
+reads the library's OBJ output back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from pillowfold.curves import SpaceCurve
 from pillowfold.errors import QuadratureFailure
-from pillowfold.mesh import _DEDUPE_FACTOR, _WELD_TOL_FACTOR
+from pillowfold.mesh import _DEDUPE_FACTOR, _WELD_TOL_FACTOR, TriMesh
 from pillowfold.quadrature import (_WIDTH_FLOOR_FACTOR, MAX_PANELS,
                                    _ensure_finite)
 
@@ -188,6 +192,74 @@ def five_point_diff(fn, x, h: float):
     x = np.asarray(x, dtype=float)
     return (np.asarray(fn(x - 2 * h)) - 8.0 * np.asarray(fn(x - h))
             + 8.0 * np.asarray(fn(x + h)) - np.asarray(fn(x + 2 * h))) / (12.0 * h)
+
+
+class Helix(SpaceCurve):
+    """Circular helix (r cos, r sin, h theta) over a fixed number of turns,
+    by arc length: curvature r / (r^2 + h^2), torsion h / (r^2 + h^2).
+    Pitch 0 gives a circle of radius r."""
+
+    def __init__(self, radius: float, pitch: float, turns: float = 1.0):
+        self.radius = float(radius)
+        self.pitch = float(pitch)
+        self._speed = float(np.hypot(radius, pitch))
+        self.length = 2.0 * np.pi * turns * self._speed
+        self.analytic_torsion = self.pitch / (self._speed ** 2)
+
+    @classmethod
+    def from_curvature_torsion(cls, kappa: float, tau: float,
+                               turns: float = 1.0) -> "Helix":
+        c = kappa * kappa + tau * tau
+        return cls(kappa / c, tau / c, turns)
+
+    def _theta(self, s):
+        return self._check_domain(s) / self._speed
+
+    def point(self, s):
+        th = self._theta(s)
+        return np.stack([self.radius * np.cos(th), self.radius * np.sin(th),
+                         self.pitch * th], axis=-1)
+
+    def velocity(self, s):
+        th = self._theta(s)
+        return np.stack([-self.radius * np.sin(th), self.radius * np.cos(th),
+                         np.full_like(th, self.pitch)], axis=-1) / self._speed
+
+    def acceleration(self, s):
+        th = self._theta(s)
+        return np.stack([-self.radius * np.cos(th), -self.radius * np.sin(th),
+                         np.zeros_like(th)], axis=-1) / self._speed ** 2
+
+
+def measured_metric(strip, s, v) -> tuple:
+    """(E, F, G) of the strip X(s, v) = c(s) + v xi(s): X_s by centred
+    differences of the embedding with step 1e-5 max(L, 1), X_v = xi."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    v = np.broadcast_to(np.asarray(v, dtype=float), s.shape)
+    h = 1e-5 * max(strip.curve.length, 1.0)
+
+    def emb(ss):
+        return strip.curve.point(ss) + v[..., None] * strip.ruling(ss)
+
+    Xs = (emb(s + h) - emb(s - h)) / (2.0 * h)
+    Xv = strip.ruling(s)
+    return (np.einsum('...j,...j->...', Xs, Xs),
+            np.einsum('...j,...j->...', Xs, Xv),
+            np.einsum('...j,...j->...', Xv, Xv))
+
+
+def load_obj(path) -> TriMesh:
+    """The v and f records of an OBJ file as a mesh, indices made 0-based."""
+    verts, faces = [], []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            parts = line.split()
+            if parts and parts[0] == "v":
+                verts.append([float(p) for p in parts[1:4]])
+            elif parts and parts[0] == "f":
+                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+    return TriMesh(np.asarray(verts, dtype=float),
+                   np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def unit_cube_mesh():

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from pillowfold.curves import Helix
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     assemble_deformed, horizontal_end_depth,
                                     pattern_scaling_family)
 from pillowfold.development import PlanarDevelopment, double_rectangle_mesh
 from pillowfold.folding import (DevelopableStrip, first_fundamental_form,
-                                frenet_frame, interior_grid, strip_geometry)
+                                frenet_frame, interior_grid)
 from pillowfold.mesh import quarter_grid_v
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import (check_crease_planarity, check_flatness,
-                               check_isometry, enclosed_volume,
-                               topology_report)
+                               check_isometry, topology_report)
 
 import oracles as oc
 
@@ -208,17 +206,19 @@ def test_criterion_8_oracle_cross_checks():
     # s = 1/2, against independent finite-difference/quadrature oracles
     tol = 1e-8
     quarter = QuarterParametrization(DATA)
-    geo = strip_geometry(quarter.upper_strip, np.array([1.0]))
+    strip = quarter.upper_strip
+    apex = np.array([1.0])
+    kappa = float(frenet_frame(quarter.crease, apex).kappa[0])
     # oracle: kappa = |c''| by five-point differencing of the velocity
-    fd_acc = oc.five_point_diff(quarter.crease.velocity, np.array([1.0]), 1e-5)
+    fd_acc = oc.five_point_diff(quarter.crease.velocity, apex, 1e-5)
     kappa_fd = float(np.linalg.norm(fd_acc))
-    gap_kappa = max(abs(float(geo["kappa"][0]) - oc.KAPPA_AT_1),
-                    abs(float(geo["kappa"][0]) - kappa_fd))
-    gap_alpha = abs(float(geo["alpha"][0]) - oc.ALPHA_AT_1)
-    gap_beta = abs(float(geo["beta"][0]) - oc.BETA_AT_1)
-    # oracle: F = cos(beta) = -zeta'(1/2), plus the quadrature route for the
-    # crease x-progress that the same sigma controls
-    f_lib = float(quarter.cos_beta(0.5))
+    gap_kappa = max(abs(kappa - oc.KAPPA_AT_1), abs(kappa - kappa_fd))
+    gap_alpha = abs(float(np.asarray(strip.alpha(apex))[0]) - oc.ALPHA_AT_1)
+    gap_beta = abs(float(strip.beta(apex)[0]) - oc.BETA_AT_1)
+    # oracle: F = cos(beta) = -zeta'(1/2), against the kernel's ruling angle,
+    # plus the quadrature route for the crease x-progress that the same
+    # sigma controls
+    f_lib = float(np.cos(strip.beta(np.array([0.5]))[0]))
     gap_f = abs(f_lib - oc.F_HALF)
     assert abs(f_lib - (-0.447214)) < 1e-6
     x1_lib = float(quarter.crease.point(1.0)[0])
@@ -239,21 +239,21 @@ def test_criterion_9_dual_metric_dichotomy():
     v = np.full_like(s, 0.1)
 
     def metric_gap(strip):
-        base = first_fundamental_form(strip, s, v).closed
-        dual = first_fundamental_form(strip.dual(), s, v).closed
+        base = first_fundamental_form(strip, s, v)
+        dual = first_fundamental_form(strip.dual(), s, v)
         return max(float(np.max(np.abs(b - d))) for b, d in zip(base, dual))
 
     pillow_gap = metric_gap(quarter.upper_strip)
 
-    helix = Helix.from_curvature_torsion(1.0, 0.3, turns=0.5)
+    helix = oc.Helix.from_curvature_torsion(1.0, 0.3, turns=0.5)
     tau = frenet_frame(helix, np.array([1.0])).tau[0]
     assert abs(tau - 0.3) < 1e-12
     strip = DevelopableStrip(helix, lambda x: np.full(np.shape(x), 0.6),
-                             lambda x: np.zeros(np.shape(x)), -0.2, 0.2)
+                             lambda x: np.zeros(np.shape(x)))
     sh = np.linspace(0.3, 0.9 * helix.length, 33)
     vh = np.full_like(sh, 0.1)
-    base = first_fundamental_form(strip, sh, vh).closed
-    dual = first_fundamental_form(strip.dual(), sh, vh).closed
+    base = first_fundamental_form(strip, sh, vh)
+    dual = first_fundamental_form(strip.dual(), sh, vh)
     helix_gap = max(float(np.max(np.abs(b - d))) for b, d in zip(base, dual))
 
     ok = pillow_gap <= tol_agree and helix_gap > tol_differ

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from pillowfold import curves, quadrature
 from pillowfold.cli import main
 from pillowfold.deformation import DeformationSchedule
-from pillowfold.mesh import load_obj
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import TOLERANCES, certify
 
@@ -89,7 +88,7 @@ def test_build_writes_closed_box(capsys, tmp_path):
     assert payload["topology"]["closed"]
     assert payload["topology"]["euler"] == 2
     assert payload["topology"]["volume"] > 0.0
-    box = load_obj(out / "box.obj")
+    box = oc.load_obj(out / "box.obj")
     assert box.is_closed()
 
 
@@ -108,7 +107,7 @@ def test_develop_outputs(capsys, tmp_path):
     assert payload["height"] == 2.0
     assert all(c["pass"] for c in payload["checks"])
     assert (out / "pattern.svg").exists()
-    rect = load_obj(out / "double_rectangle.obj")
+    rect = oc.load_obj(out / "double_rectangle.obj")
     assert rect.is_closed() and rect.euler_characteristic() == 2
 
 
@@ -279,6 +278,19 @@ def test_certify_is_what_verify_all_prints(box, capsys, tmp_path):
     reports = certify(data, DeformationSchedule.linear(), 32, 16, 1e-3,
                       TOLERANCES)
     assert [r.to_dict() for r in reports] == payload["checks"]
+
+
+@pytest.mark.parametrize("eps", ["0.5", "0.6", "-1", "nan"])
+def test_verify_endpoint_guard_outside_the_open_half_exits_2(eps, capsys,
+                                                             tmp_path):
+    # 0.5 collapses every interior grid to s = L/2, 0.6 runs it backwards:
+    # neither certifies anything, so neither may pass
+    rc, payload, err = run_cli(capsys, "verify", "--all", "--grid", "8x4",
+                               f"--eps-endpoint={eps}",
+                               "--out", str(tmp_path))
+    assert rc == 2 and payload is None
+    assert json.loads(err)["error"] == "DomainError"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_tolerance_override_can_fail(capsys):

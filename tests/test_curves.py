@@ -3,29 +3,40 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pillowfold.curves import (Circle, CurveWithoutJerk, Helix, Line,
-                               ProfileCrease, require_unit_speed)
+from pillowfold.curves import ProfileCrease
 from pillowfold.errors import DomainError, EndpointSingularity
-from pillowfold.profiles import FundamentalData
+from pillowfold.profiles import FundamentalData, ProfileFunction
 
 import oracles as oc
 
 
+def speed_gap(curve, s) -> float:
+    """Largest deviation of |c'(s)| from 1 over the samples."""
+    return float(np.max(np.abs(
+        np.linalg.norm(curve.velocity(s), axis=-1) - 1.0)))
+
+
 def test_line_is_unit_speed_and_straight():
-    line = Line([1.0, 2.0, 3.0], [0.0, 0.0, 5.0], length=4.0)
+    # a linear profile makes the crease a straight line at every lam
+    line = ProfileCrease(FundamentalData(1.0, ProfileFunction.polynomial(
+        [0.1, 0.5], 4.0)), lam=0.6)
     s = np.linspace(0.0, 4.0, 5)
-    require_unit_speed(line, s)
-    assert np.allclose(line.point(4.0), [1.0, 2.0, 7.0])
+    assert speed_gap(line, s) < 1e-12
+    assert np.allclose(line.point(s),
+                       line.point(0.0) + s[:, None] * line.velocity(0.0),
+                       rtol=0.0, atol=1e-12)
     assert np.max(np.abs(line.acceleration(s))) == 0.0
     with pytest.raises(DomainError):
-        Line([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        line.point(4.5)
 
 
 def test_circle_geometry():
-    circ = Circle(2.0)
+    # the helix oracle at pitch 0 is the circle of radius 2
+    circ = oc.Helix(2.0, 0.0)
     assert abs(circ.length - 4.0 * np.pi) < 1e-12
+    assert circ.analytic_torsion == 0.0
     s = np.linspace(0.0, circ.length, 9)
-    require_unit_speed(circ, s)
+    assert speed_gap(circ, s) < 1e-12
     pts = circ.point(s)
     assert np.max(np.abs(np.linalg.norm(pts[:, :2], axis=1) - 2.0)) < 1e-12
     assert np.max(np.abs(pts[:, 2])) == 0.0
@@ -35,25 +46,17 @@ def test_circle_geometry():
 
 def test_helix_curvature_torsion_round_trip():
     kappa, tau = 1.0, 0.3
-    hel = Helix.from_curvature_torsion(kappa, tau)
+    hel = oc.Helix.from_curvature_torsion(kappa, tau)
     s = np.linspace(0.1, 0.9 * hel.length, 7)
-    require_unit_speed(hel, s)
-    acc = np.linalg.norm(hel.acceleration(s), axis=1)
-    assert np.max(np.abs(acc - kappa)) < 1e-12
+    assert speed_gap(hel, s) < 1e-12
+    acc = hel.acceleration(s)
+    assert np.max(np.abs(np.linalg.norm(acc, axis=1) - kappa)) < 1e-12
     assert abs(hel.analytic_torsion - tau) < 1e-12
-    # third derivative against a finite-difference oracle
-    fd = oc.five_point_diff(hel.acceleration, s, 1e-5)
-    assert np.max(np.abs(hel.third_derivative(s) - fd)) < 1e-8
-
-
-def test_curve_without_jerk_hides_analytic_data():
-    hel = Helix(1.0, 0.5)
-    wrapped = CurveWithoutJerk(hel)
-    assert wrapped.analytic_torsion is None
-    assert not hasattr(wrapped, "third_derivative")
-    s = np.array([0.3, 1.1])
-    assert np.array_equal(wrapped.point(s), hel.point(s))
-    assert np.array_equal(wrapped.acceleration(s), hel.acceleration(s))
+    # torsion (c' x c'') . c''' / kappa^2, with c''' by five-point differences
+    jerk = oc.five_point_diff(hel.acceleration, s, 1e-5)
+    numeric = np.einsum('ij,ij->i', np.cross(hel.velocity(s), acc),
+                        jerk) / kappa ** 2
+    assert np.max(np.abs(numeric - tau)) < 1e-8
 
 
 def test_profile_crease_folded_progress():
@@ -70,17 +73,18 @@ def test_profile_crease_unit_speed_and_plane():
     for lam in (0.0, 0.5, 1.0):
         crease = ProfileCrease(data, lam=lam)
         s = np.linspace(0.05, 1.95, 41)
-        require_unit_speed(crease, s)
+        assert speed_gap(crease, s) < 1e-8
         pts = crease.point(s)
         assert np.max(np.abs(pts[:, 2] - lam * pts[:, 1])) < 1e-12
 
 
 def test_profile_crease_half_fold_progress():
     crease = ProfileCrease(FundamentalData.demo(), lam=0.5)
-    assert abs(crease.plane_travel(1.0) - oc.XT_HALF) < 1e-9
+    assert abs(crease.point(1.0)[0] - oc.XT_HALF) < 1e-9
+    # the drift mu moves the crease along x only
     shifted = ProfileCrease(FundamentalData.demo(), lam=0.5, mu=3.0)
     assert abs(shifted.point(1.0)[0] - 3.0 - oc.XT_HALF) < 1e-9
-    assert abs(shifted.plane_travel(1.0) - oc.XT_HALF) < 1e-9
+    assert np.array_equal(shifted.point(1.0)[1:], crease.point(1.0)[1:])
 
 
 def test_profile_crease_endpoint_singularity():
@@ -93,7 +97,7 @@ def test_profile_crease_endpoint_singularity():
     assert np.all(np.isfinite(crease.point(np.array([0.0, 2.0]))))
     # away from full fold the endpoints are regular
     half = ProfileCrease(FundamentalData.demo(), lam=0.5)
-    require_unit_speed(half, np.array([0.0, 2.0]))
+    assert speed_gap(half, np.array([0.0, 2.0])) < 1e-8
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.5, 0.0])
@@ -113,15 +117,7 @@ def test_profile_crease_memo_hands_out_copies():
     s = np.linspace(0.0, 2.0, 17)
     want = ProfileCrease(FundamentalData.demo(), lam=1.0).point(s)
     crease.point(s)[:] = -1.0
-    crease.plane_travel(s)[:] = -1.0
     assert np.array_equal(crease.point(s), want)
-
-
-def test_require_unit_speed_rejects_fast_curve():
-    fast = Line([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], length=1.0)
-    fast.direction = np.array([2.0, 0.0, 0.0])  # break the invariant
-    with pytest.raises(DomainError):
-        require_unit_speed(fast, np.array([0.5]))
 
 
 def test_domain_guard():

@@ -11,13 +11,11 @@ from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     depth_coefficient, horizontal_end_depth,
                                     pattern_scaling_family, validate_schedule)
 from pillowfold.development import PlanarDevelopment, pattern_graph
-from pillowfold.errors import (DomainError, IoError, NotClosed,
-                               ScheduleViolation)
+from pillowfold.errors import DomainError, IoError, ScheduleViolation
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import (FundamentalData, ProfileFunction,
                                  graph_to_arclength_profile)
-from pillowfold.verify import (enclosed_volume, family_members, sweep_trace,
-                               topology_report)
+from pillowfold.verify import family_members, sweep_trace, topology_report
 
 import oracles as oc
 from strategies import admissible_data
@@ -166,11 +164,11 @@ def test_assembled_deformation_topology():
     assert not mid.is_closed()
     assert mid.weld_report["horizontal_end"] == "open"
     assert mid.boundary_edge_count() > 0
-    with pytest.raises(NotClosed):
-        enclosed_volume(mid)
-    flat = assemble_deformed(data, schedule, 1.0, 16, 8)
-    assert flat.is_closed()
-    assert abs(enclosed_volume(flat)) < 1e-14
+    assert not topology_report(mid, count_intersections=False).volume_valid
+    flat = topology_report(assemble_deformed(data, schedule, 1.0, 16, 8),
+                           count_intersections=False)
+    assert flat.closed and flat.volume_valid
+    assert abs(flat.volume) < 1e-14
 
 
 def test_horizontal_end_weld_threshold():
@@ -228,7 +226,10 @@ def test_pattern_scaling_volumes_decrease_continuously():
     vols = []
     for t in ts:
         member = pattern_scaling_family(data, float(t))
-        vols.append(enclosed_volume(assemble_box(member, 16, 8)))
+        topo = topology_report(assemble_box(member, 16, 8),
+                               count_intersections=False)
+        assert topo.volume_valid
+        vols.append(topo.volume)
     vols = np.asarray(vols)
     assert np.all(np.diff(vols) < 0.0)
     # successive differences stay within 3x the neighbouring local slope:
@@ -244,7 +245,9 @@ def _nested_pattern_scaling(data, t):
     """The member as the pattern graph scaled by 1 - t and converted back to
     arc length: two nested monotone maps per evaluation."""
     psi = pattern_graph(data)
-    scaled = psi if t == 0.0 else psi.scaled(1.0 - t)
+    scaled = psi if t == 0.0 else ProfileFunction(
+        psi.length, "scaled",
+        lambda x, order: (1.0 - t) * np.asarray(psi.eval(x, order)))
     return FundamentalData(
         data.b, graph_to_arclength_profile(scaled, "plane-crease")[1])
 
@@ -373,5 +376,5 @@ def test_sweep_trace_rows():
         want_depth = horizontal_end_depth(data, row["lam"])
         assert abs(row["depth"] - want_depth) < 1e-12
     assert abs(rows[0]["volume"]
-               - enclosed_volume(assemble_deformed(data, schedule, 0.0, 12, 6))) < 1e-12
+               - assemble_deformed(data, schedule, 0.0, 12, 6).signed_volume()) < 1e-12
     assert abs(rows[-1]["volume"]) < 1e-14

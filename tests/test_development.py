@@ -8,7 +8,7 @@ from pillowfold.development import (PlanarDevelopment, double_rectangle_mesh,
 from pillowfold.errors import NonGraph, OutOfDomain
 from pillowfold.profiles import FundamentalData, ProfileFunction
 from pillowfold.mesh import self_intersection_pairs
-from pillowfold.verify import enclosed_volume
+from pillowfold.verify import topology_report
 
 import oracles as oc
 
@@ -103,7 +103,8 @@ def test_double_rectangle_counts_and_topology():
         assert rect.is_closed()
         assert rect.nonmanifold_edge_count() == 0
         assert rect.orientation_consistent()
-        assert abs(enclosed_volume(rect)) < 1e-14
+        topo = topology_report(rect, count_intersections=False)
+        assert topo.volume_valid and abs(topo.volume) < 1e-14
 
 
 def test_double_rectangle_no_spurious_intersections():

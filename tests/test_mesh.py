@@ -12,10 +12,11 @@ from pillowfold.deformation import (DeformationSchedule, assemble_deformed,
                                     deformed_quarter)
 from pillowfold.development import double_rectangle_mesh
 from pillowfold.errors import DegenerateTriangle, GridTooCoarse
-from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _box_pairs, export_obj,
-                             export_svg, export_trace, load_obj,
-                             min_triangle_area_check, quarter_grid_v,
-                             sample_and_triangulate, self_intersection_pairs)
+from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _box_pairs,
+                             assemble_reflected, export_obj, export_svg,
+                             export_trace, min_triangle_area_check,
+                             quarter_grid_v, sample_quarter,
+                             self_intersection_pairs)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import FundamentalData, ProfileFunction
 
@@ -34,8 +35,6 @@ def test_trimesh_basics_on_cube():
     assert cube.euler_characteristic() == 2
     assert abs(cube.triangle_areas().sum() - 6.0) < 1e-12
     assert abs(cube.diagonal() - np.sqrt(3.0)) < 1e-15
-    moved = cube.translated([1.0, 2.0, 3.0])
-    assert np.allclose(moved.vertices[0], [1.0, 2.0, 3.0])
     with pytest.raises(IndexError):
         TriMesh(v, np.array([[0, 1, 99]]))
 
@@ -79,23 +78,30 @@ def test_quarter_grid_v_rows():
     assert np.all(np.diff(vmat, axis=0) >= 0.0)
 
 
+def quarter_mesh(data, n_s: int, n_v: int) -> TriMesh:
+    """One folded quarter, sampled on the n_s x n_v grid, as an open mesh."""
+    s = np.linspace(0.0, data.length, n_s + 1)
+    verts, _, faces, _ = sample_quarter(
+        QuarterParametrization(data).X, s, data.zeta.eval(s, 0), data.b,
+        n_v // 2, n_v - n_v // 2)
+    return TriMesh(verts, faces)
+
+
 def test_coarse_quarter_triangle_counts():
     # corner columns collapse where zeta = 0: two quads degenerate
     demo = FundamentalData.demo()
-    m = sample_and_triangulate(QuarterParametrization(demo).X, demo, 2, 2)
-    assert m.n_faces == 6
+    assert quarter_mesh(demo, 2, 2).n_faces == 6
     # a profile with nonzero ends keeps all 8 triangles of the 2x2 grid
     flat = FundamentalData(1.0, ProfileFunction.polynomial([0.3], 2.0))
-    m = sample_and_triangulate(QuarterParametrization(flat).X, flat, 2, 2)
-    assert m.n_faces == 8
+    assert quarter_mesh(flat, 2, 2).n_faces == 8
     with pytest.raises(GridTooCoarse):
-        sample_and_triangulate(QuarterParametrization(demo).X, demo, 1, 2)
+        assemble_reflected(QuarterParametrization(demo).X, demo, 1, 2)
 
 
 def test_quarter_mesh_contains_exact_crease_samples():
     demo = FundamentalData.demo()
     quarter = QuarterParametrization(demo)
-    m = sample_and_triangulate(quarter.X, demo, 8, 4)
+    m = quarter_mesh(demo, 8, 4)
     s_values = np.linspace(0.0, 2.0, 9)
     crease = quarter.X(s_values, np.zeros(9))
     for p in crease:
@@ -103,8 +109,7 @@ def test_quarter_mesh_contains_exact_crease_samples():
 
 
 def test_quarter_mesh_nondegenerate_at_working_resolution():
-    demo = FundamentalData.demo()
-    m = sample_and_triangulate(QuarterParametrization(demo).X, demo, 64, 32)
+    m = quarter_mesh(FundamentalData.demo(), 64, 32)
     min_triangle_area_check(m)
     assert m.triangle_areas().min() > 1e-14 * m.diagonal() ** 2
 
@@ -385,7 +390,8 @@ def test_face_labels_of_the_double_rectangle():
     assert rect.face_labels[:8].tolist() == [[0, 0], [0, 0], [0, 1],
                                              [0, 1]] * 2
     assert np.bincount(rect.face_labels[:, 0]).tolist() == [24] * 6
-    moved = rect.translated([0.5, -1.0, 2.0])
+    moved = TriMesh(rect.vertices + [0.5, -1.0, 2.0], rect.faces,
+                    face_labels=rect.face_labels)
     assert np.array_equal(moved.face_labels, rect.face_labels)
     assert _pairs_checked_by_oracle(moved) == []
     _broad_phase_checked_by_scan(moved, moved.face_labels)
@@ -431,7 +437,7 @@ def test_obj_round_trip(tmp_path):
     p1 = tmp_path / "box.obj"
     p2 = tmp_path / "box2.obj"
     export_obj(box, p1)
-    loaded = load_obj(p1)
+    loaded = oc.load_obj(p1)
     assert loaded.n_vertices == box.n_vertices
     assert np.array_equal(loaded.faces, box.faces)
     assert np.max(np.abs(loaded.vertices - box.vertices)) < 1e-8 * box.diagonal()
@@ -450,7 +456,7 @@ def test_obj_format(tmp_path):
     assert len(vlines) == 8 and len(flines) == 12
     assert vlines[0] == "v 0 0 0"
     assert flines[0] == "f 1 3 2"
-    back = load_obj(path)
+    back = oc.load_obj(path)
     assert np.array_equal(back.vertices, v)
 
 

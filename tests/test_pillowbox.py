@@ -10,7 +10,7 @@ from pillowfold.curves import ProfileCrease
 from pillowfold.pillowbox import (XI_LOWER, XI_UPPER, QuarterParametrization,
                                   assemble_box)
 from pillowfold.profiles import FundamentalData, ProfileFunction
-from pillowfold.verify import enclosed_volume, topology_report
+from pillowfold.verify import topology_report
 
 import oracles as oc
 from strategies import admissible_data
@@ -53,11 +53,12 @@ def test_quarter_surface_structure():
 
 
 def test_quarter_ruling_angle_value():
-    quarter = QuarterParametrization(FundamentalData.demo())
-    assert abs(float(quarter.cos_beta(0.5)) - oc.F_HALF) < 1e-12
-    # independent oracle: cos(beta) = -zeta'(s)
+    strip = QuarterParametrization(FundamentalData.demo()).upper_strip
+    assert abs(float(np.cos(strip.beta(np.array([0.5]))[0])) - oc.F_HALF) < 1e-12
+    # independent oracle: cos(beta) = -zeta'(s), on both strips
     s = np.linspace(0.1, 1.9, 9)
-    assert np.max(np.abs(quarter.cos_beta(s) + oc.demo_zeta(s, 1))) < 1e-12
+    for side in (strip, strip.dual()):
+        assert np.max(np.abs(np.cos(side.beta(s)) + oc.demo_zeta(s, 1))) < 1e-12
 
 
 def test_box_topology_and_volume():
@@ -75,9 +76,16 @@ def test_box_topology_and_volume():
     assert box.weld_report["boundary_edge_count"] == 0
 
 
+def box_volume(data, n_s, n_v) -> float:
+    topo = topology_report(assemble_box(data, n_s, n_v),
+                           count_intersections=False)
+    assert topo.volume_valid
+    return topo.volume
+
+
 def test_box_volume_grid_convergence():
-    v1 = enclosed_volume(assemble_box(FundamentalData.demo(), 64, 32))
-    v2 = enclosed_volume(assemble_box(FundamentalData.demo(), 128, 64))
+    v1 = box_volume(FundamentalData.demo(), 64, 32)
+    v2 = box_volume(FundamentalData.demo(), 128, 64)
     assert abs(v1 - oc.V_64x32) < 1e-12
     assert abs(v2 - oc.V_128x64) < 1e-12
     assert abs(v1 - v2) / v2 < oc.V_REL_64_128
@@ -89,9 +97,10 @@ def test_box_volume_grid_convergence():
 def test_box_scales_with_profile():
     # halving the profile halves the box height; volume shrinks accordingly
     data = FundamentalData.demo()
-    small = FundamentalData(1.0, data.zeta.scaled(0.5))
-    v_small = enclosed_volume(assemble_box(small, 32, 16))
-    v_full = enclosed_volume(assemble_box(data, 32, 16))
+    small = FundamentalData(1.0, ProfileFunction(
+        2.0, "scaled", lambda s, order: 0.5 * data.zeta.eval(s, order)))
+    v_small = box_volume(small, 32, 16)
+    v_full = box_volume(data, 32, 16)
     assert v_small < v_full
 
 

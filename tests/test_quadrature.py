@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pillowfold.curves import ProfileCrease
 from pillowfold.errors import NonFiniteEvaluation, QuadratureFailure
 from pillowfold.profiles import FundamentalData
-from pillowfold.quadrature import (adaptive_simpson, cumulative_integral,
-                                   gauss_segments, integrate_segments)
+from pillowfold.quadrature import (cumulative_integral, gauss_segments,
+                                   integrate_segments)
 
 from oracles import fixed_simpson, separate_call_simpson
 
@@ -36,13 +36,18 @@ def _counted(fn):
     return wrapped, calls
 
 
+def _integral(fn, a, b, tol=1e-10):
+    """integrate_segments over the one segment [a, b]."""
+    return float(integrate_segments(fn, [a], [b], [tol])[0])
+
+
 def test_adaptive_simpson_cubic_exact():
-    val = adaptive_simpson(lambda x: x ** 3, 0.0, 1.0)
+    val = _integral(lambda x: x ** 3, 0.0, 1.0)
     assert abs(val - 0.25) < 1e-13
 
 
 def test_adaptive_simpson_transcendental():
-    val = adaptive_simpson(np.sin, 0.0, 2.0, tol=1e-12)
+    val = _integral(np.sin, 0.0, 2.0, tol=1e-12)
     assert abs(val - (1.0 - np.cos(2.0))) < 1e-11
     oracle = fixed_simpson(np.sin, 0.0, 2.0, 20_000)
     assert abs(val - oracle) < 1e-10
@@ -50,7 +55,7 @@ def test_adaptive_simpson_transcendental():
 
 def test_adaptive_simpson_sqrt_singularity():
     # infinite derivative at 0, finite values; adaptive splitting handles it
-    val = adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10)
+    val = _integral(np.sqrt, 0.0, 1.0, tol=1e-10)
     assert abs(val - 2.0 / 3.0) < 1e-9
 
 
@@ -78,7 +83,7 @@ def test_non_finite_integrand_rejected():
         return np.where(x > 0.5, np.nan, 1.0)
     # the message names the first such point as a plain float
     with pytest.raises(NonFiniteEvaluation, match=r"not finite near 1\.0$"):
-        adaptive_simpson(bad, 0.0, 1.0)
+        _integral(bad, 0.0, 1.0)
 
 
 def test_cumulative_integral_prefix_sums():
@@ -88,7 +93,7 @@ def test_cumulative_integral_prefix_sums():
     want = np.exp(points) - 1.0
     assert np.max(np.abs(vals - want)) < 1e-11
     # cumulative values are consistent with single-shot integrals
-    tail = adaptive_simpson(np.exp, 0.0, float(points[-1]), tol=1e-13)
+    tail = _integral(np.exp, 0.0, float(points[-1]), tol=1e-13)
     assert abs(vals[-1] - tail) < 1e-11
 
 

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from pillowfold.deformation import DeformedQuarter
-from pillowfold.errors import (CollinearSamples, DegenerateMetric,
-                               GridTooCoarse, InconsistentOrientation,
-                               NotClosed)
+from pillowfold.errors import CollinearSamples, DegenerateMetric, GridTooCoarse
 from pillowfold.mesh import TriMesh, self_intersection_pairs
 from pillowfold.pillowbox import assemble_box
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import (check_crease_planarity, check_flatness,
-                               check_isometry, enclosed_volume,
-                               topology_report)
+                               check_isometry, topology_report)
 
 import oracles as oc
 
@@ -133,21 +130,24 @@ def test_crease_planarity_rejects_axis_samples():
 
 def test_enclosed_volume_cube():
     v, f = oc.unit_cube_mesh()
-    cube = TriMesh(v, f)
-    assert enclosed_volume(cube) == 1.0
+    topo = topology_report(TriMesh(v, f))
+    assert topo.volume_valid and topo.volume == 1.0
     # translation invariance of the divergence-theorem integral
-    far = cube.translated([17.0, -3.0, 101.0])
-    assert abs(enclosed_volume(far) - 1.0) < 1e-12
+    far = topology_report(TriMesh(v + [17.0, -3.0, 101.0], f))
+    assert far.volume_valid and abs(far.volume - 1.0) < 1e-12
 
 
 def test_enclosed_volume_guards():
+    # an open or inconsistently wound mesh encloses no volume: reported
+    # invalid, with volume 0
     v, f = oc.unit_cube_mesh()
-    with pytest.raises(NotClosed):
-        enclosed_volume(TriMesh(v, f[:-1]))
     flipped = f.copy()
     flipped[0] = flipped[0, ::-1]
-    with pytest.raises(InconsistentOrientation):
-        enclosed_volume(TriMesh(v, flipped))
+    for mesh, closed in ((TriMesh(v, f[:-1]), False),
+                         (TriMesh(v, flipped), True)):
+        topo = topology_report(mesh, count_intersections=False)
+        assert topo.closed == closed
+        assert not topo.volume_valid and topo.volume == 0.0
 
 
 def test_count_self_intersections_crossing_pair():
