@@ -22,9 +22,12 @@ import numpy as np
 from .curves import ProfileCrease
 from .errors import DomainError, IoError, OutOfDomain, ScheduleViolation
 from .mesh import TriMesh, assemble_reflected
-from .profiles import FundamentalData, ProfileFunction, _MonotoneMap
+from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
+                       reparametrized)
 
 _T_TOL = 1e-12
+_SCHEDULE_T_SAMPLES = 21    # even t samples of a schedule's fold margin
+_DEPTH_SAMPLES = 4001       # even s samples of the horizontal end's depth
 
 XI_LOWER = np.array([0.0, -1.0, 0.0])
 
@@ -122,23 +125,22 @@ def admissibility_margin(data: FundamentalData, lam: float,
     return float(np.min(1.0 - (1.0 + lam * lam) * z1 ** 2))
 
 
-def validate_schedule(data: FundamentalData, schedule: DeformationSchedule,
-                      n_t: int = 21, n_samples: int = 99,
-                      bc_tol: float = 1e-9) -> ScheduleReport:
+def validate_schedule(data: FundamentalData,
+                      schedule: DeformationSchedule) -> ScheduleReport:
     """Endpoint values lam(0) = 1, lam(1) = 0 and a positive admissibility
     margin at every sampled t."""
     entries = []
     lam0, lam1 = schedule.lam(0.0), schedule.lam(1.0)
     entries.append({"name": "starts-folded", "t": 0.0,
-                    "passed": bool(abs(lam0 - 1.0) <= bc_tol),
-                    "margin": float(bc_tol - abs(lam0 - 1.0))})
+                    "passed": bool(abs(lam0 - 1.0) <= BC_TOL),
+                    "margin": float(BC_TOL - abs(lam0 - 1.0))})
     entries.append({"name": "ends-flat", "t": 1.0,
-                    "passed": bool(abs(lam1) <= bc_tol),
-                    "margin": float(bc_tol - abs(lam1))})
-    for t in np.linspace(0.0, 1.0, n_t):
+                    "passed": bool(abs(lam1) <= BC_TOL),
+                    "margin": float(BC_TOL - abs(lam1))})
+    for t in np.linspace(0.0, 1.0, _SCHEDULE_T_SAMPLES):
         lam = schedule.lam(float(t))
         mu = schedule.mu(float(t))
-        margin = admissibility_margin(data, lam, n_samples)
+        margin = admissibility_margin(data, lam, VALIDATION_SAMPLES)
         entries.append({"name": "fold-margin", "t": float(t), "lam": lam,
                         "mu": mu, "margin": margin,
                         "passed": bool(margin > 0 and np.isfinite(mu))})
@@ -201,11 +203,8 @@ class DeformedQuarter:
                                   -2.0 * self.lam / denom])
         self.xi_lower = XI_LOWER.copy()
 
-    def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
-        """domain_slack loosens the v-domain check; finite-difference
-        stencils straddling the curved boundary need a little room."""
-        s_arr, v_arr = quarter_domain(self.data, s, v, domain_slack,
-                                      self.scale)
+    def X(self, s, v) -> np.ndarray:
+        s_arr, v_arr = quarter_domain(self.data, s, v, 0.0, self.scale)
         base = self.crease.point(s_arr)
         ruling = np.where((v_arr >= 0.0)[..., None], self.xi_upper, self.xi_lower)
         return base + v_arr[..., None] * ruling
@@ -244,8 +243,7 @@ def depth_coefficient(lam: float) -> float:
     return -lam * (1.0 - lam ** 2) / (1.0 + lam ** 2)
 
 
-def horizontal_end_depth(data: FundamentalData, lam: float,
-                         n_samples: int = 4001) -> float:
+def horizontal_end_depth(data: FundamentalData, lam: float) -> float:
     """Most negative z on the horizontal end: the closure obstruction.
 
     Zero exactly at lam in {0, 1}; strictly negative for lam in (0, 1) since
@@ -254,7 +252,7 @@ def horizontal_end_depth(data: FundamentalData, lam: float,
     if not np.isfinite(lam) or lam < 0.0 or lam > 1.0 + 1e-12:
         raise DomainError(f"fold parameter must lie in [0, 1], got {lam}")
     coeff = depth_coefficient(lam)
-    s = np.linspace(0.0, data.length, n_samples)
+    s = np.linspace(0.0, data.length, _DEPTH_SAMPLES)
     z0 = np.asarray(data.zeta.eval(s, 0))
     return float(np.min(coeff * z0))
 
@@ -279,20 +277,14 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
     degeneracy (the scaled slope stays below the critical value).
 
     The member is evaluated over the base arc length u rather than through
-    the pattern graph.  With c = 1 - t and k = 1 - c^2, the graph
-    (x(u), c zeta(u)), dx/du = sqrt(1 - zeta'^2), has arc-length rate
-
-        m(u) = sqrt(1 - zeta'^2 + c^2 zeta'^2) = sqrt(1 - k zeta'^2),
-
-    so s_t(u) = int_0^u m is one monotone map, the profile's travel, and
-    with u = s_t^-1(s)
-
-        zeta_t = c zeta(u),  zeta_t' = c zeta'/m,  zeta_t'' = c zeta''/m^4,
-
-    the last because dm/du = -k zeta' zeta''/m and m^2 + k zeta'^2 = 1.
-    Admissible data have |zeta'| <= 1/sqrt2, so m >= sqrt(1 - zeta'^2) >=
-    1/sqrt2: the map has no square-root zero even where the base end slope
-    is critical.  At t = 0 the rate is 1 and the member is zeta itself.
+    the pattern graph: with c = 1 - t, the graph (x(u), c zeta(u)),
+    dx/du = sqrt(1 - zeta'^2), has arc-length rate m(u) = sqrt(1 + (c^2 - 1)
+    zeta'^2), so the member is profiles.reparametrized(zeta, c^2 - 1, c),
+    whose travel is s_t(u) = int_0^u m, and zeta_t' = c zeta'/m at
+    u = s_t^-1(s).  Admissible data have |zeta'| <= 1/sqrt2, so
+    m >= sqrt(1 - zeta'^2) >= 1/sqrt2: the map has no square-root zero even
+    where the base end slope is critical.  At t = 0 the rate is 1 and the
+    member is zeta itself.
 
     The member's folded quarter is the base's DeformedQuarter(data, 1,
     scale=c), read at u: its crease's rate is sigma_t = sqrt(1 - 2
@@ -304,26 +296,9 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
     """
     if not np.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"t must lie in [0, 1), got {t}")
-    zeta = data.zeta
     c = 1.0 - t
-    k = 1.0 - c * c
-
-    def rate(u):
-        return np.sqrt(1.0 - k * np.asarray(zeta.eval(u, 1)) ** 2)
-
-    travel = _MonotoneMap(rate, zeta.length)
-
-    def evaluator(s, order):
-        u = travel.inverse(s)
-        if order == 0:
-            return c * np.asarray(zeta.eval(u, 0))
-        if order == 1:
-            return c * np.asarray(zeta.eval(u, 1)) / rate(u)
-        return c * np.asarray(zeta.eval(u, 2)) / rate(u) ** 4
-
-    zeta_t = ProfileFunction(travel.total, "pattern-scaled", evaluator,
-                             {"t": float(t), "base_kind": zeta.kind}, travel)
-    return FundamentalData(data.b, zeta_t)
+    return FundamentalData(data.b, reparametrized(
+        data.zeta, c * c - 1.0, c, kind="pattern-scaled"))
 
 
 def assemble_pattern_scaled(data: FundamentalData, t: float, n_s: int,

@@ -15,73 +15,51 @@ import numpy as np
 from .deformation import quarter_domain
 from .errors import DomainError, NonFiniteEvaluation, NonGraph
 from .mesh import TriMesh
-from .profiles import (FundamentalData, ProfileFunction, ValidationReport,
-                       _MonotoneMap, safe_sqrt)
-
-
-def _developed_travel(data: FundamentalData) -> _MonotoneMap:
-    """s -> x(s) = int_0^s sqrt(1 - zeta'^2), the developed abscissa."""
-
-    def rate(s):
-        return safe_sqrt(1.0 - np.asarray(data.zeta.eval(s, 1)) ** 2)
-
-    return _MonotoneMap(rate, data.length)
-
-
-class PlanarDevelopment:
-    """Development Y(s, v) = gamma(s) + v (0, -1, 0) of one quarter."""
-
-    def __init__(self, data: FundamentalData):
-        self.data = data
-        self.length = data.length
-        self._travel = _developed_travel(data)
-        self.width = self._travel.total      # = 2a
-
-    def gamma(self, s) -> np.ndarray:
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
-        return np.stack([self._travel.forward(s_arr), z0,
-                         np.zeros_like(z0)], axis=-1)
-
-    def Y(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
-        s_arr, v_arr = quarter_domain(self.data, s, v, domain_slack)
-        out = self.gamma(s_arr)
-        out[..., 1] -= v_arr
-        return out
+from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
+                       ProfileFunction, ValidationReport, reparametrized)
 
 
 def pattern_graph(data: FundamentalData) -> ProfileFunction:
     """The crease pattern as a graph y = psi(x) over [0, 2a].
 
-    With x(s) the developed abscissa, psi(x) = zeta(s(x)); derivatives follow
-    from dx/ds = sqrt(1 - zeta'^2).
+    psi(x) = zeta(s(x)) over the developed abscissa x(s) = int_0^s
+    sqrt(1 - zeta'^2): reparametrized with k = -1, whose travel is x(s).
     """
-    zeta = data.zeta
-    travel = _developed_travel(data)
-
-    def evaluator(x, order):
-        s = travel.inverse(x)
-        if order == 0:
-            return zeta.eval(s, 0)
-        z1 = np.asarray(zeta.eval(s, 1))
-        if order == 1:
-            return z1 / safe_sqrt(1.0 - z1 ** 2)
-        z2 = np.asarray(zeta.eval(s, 2))
-        return z2 / (1.0 - z1 ** 2) ** 2
-
-    return ProfileFunction(travel.total, "graph", evaluator,
-                           {"base_kind": zeta.kind})
+    return reparametrized(data.zeta, -1.0, kind="graph")
 
 
-def validate_pattern_conditions(f: ProfileFunction, b: float,
-                                n_samples: int = 99,
-                                bc_tol: float = 1e-9) -> ValidationReport:
+class PlanarDevelopment:
+    """Development Y(s, v) = gamma(s) + v (0, -1, 0) of one quarter; pattern
+    is the crease pattern's graph, whose travel gives gamma's x(s)."""
+
+    def __init__(self, data: FundamentalData):
+        self.data = data
+        self.length = data.length
+        self.pattern = pattern_graph(data)
+        self.width = self.pattern.length      # = 2a
+
+    def gamma(self, s) -> np.ndarray:
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
+        return np.stack([self.pattern.travel.forward(s_arr), z0,
+                         np.zeros_like(z0)], axis=-1)
+
+    def Y(self, s, v) -> np.ndarray:
+        s_arr, v_arr = quarter_domain(self.data, s, v, 0.0)
+        out = self.gamma(s_arr)
+        out[..., 1] -= v_arr
+        return out
+
+
+def validate_pattern_conditions(f: ProfileFunction,
+                                b: float) -> ValidationReport:
     """Check a graph profile psi against the pattern admissibility conditions:
     zero ends, sub-unit slope, strict concavity, and 0 < psi < b inside."""
     if not np.isfinite(b) or b <= 0:
         raise DomainError(f"b must be positive, got {b}")
     w = f.length
-    x = w * np.arange(1, n_samples + 1) / (n_samples + 1)
+    n = VALIDATION_SAMPLES
+    x = w * np.arange(1, n + 1) / (n + 1)
     try:
         p0 = np.asarray(f.eval(x, 0))
         p1 = np.asarray(f.eval(x, 1))
@@ -96,7 +74,7 @@ def validate_pattern_conditions(f: ProfileFunction, b: float,
                 "worst_s": float(worst_x), "gating": gating}
 
     entries = [
-        entry("endpoints-zero", bc_tol - np.max(np.abs(ends)),
+        entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),
               0.0 if abs(ends[0]) >= abs(ends[1]) else w),
         entry("slope-subunit", np.min(1.0 - p1 ** 2), x[np.argmax(p1 ** 2)]),
         entry("concave", -np.max(p2), x[np.argmax(p2)]),
@@ -104,7 +82,7 @@ def validate_pattern_conditions(f: ProfileFunction, b: float,
         entry("below-b", b - np.max(p0), x[np.argmax(p0)]),
     ]
     valid = all(e["passed"] for e in entries if e["gating"])
-    return ValidationReport(entries, valid, n_samples, bc_tol)
+    return ValidationReport(entries, valid, n)
 
 
 def double_rectangle_mesh(width: float, height: float, n: int) -> TriMesh:

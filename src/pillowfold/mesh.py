@@ -23,11 +23,13 @@ import numpy as np
 
 from .errors import (DegenerateTriangle, GridTooCoarse, IoError,
                      NonFiniteEvaluation, WeldFailure)
+from .profiles import BC_TOL
 
 _DEDUPE_FACTOR = 1e-13     # in-column duplicate snap, relative to bbox diagonal
-_WELD_TOL_FACTOR = 1e-6    # default weld tolerance, relative to bbox diagonal
+_WELD_TOL_FACTOR = 1e-6    # weld tolerance, relative to bbox diagonal
 _CONTACT_FACTOR = 1e-9     # seam contact tolerance for intersection tests
 _DEGENERATE_AREA_FACTOR = 1e-14
+_SVG_MARGIN = 0.05         # SVG padding, relative to the larger side
 
 
 @dataclass
@@ -220,11 +222,11 @@ def sample_quarter(X, s_values: np.ndarray, zeta_values: np.ndarray, b: float,
     return verts, idx, faces, slabs
 
 
-def _grid_columns(data, n_s: int, columns, bc_tol: float = 1e-9) -> tuple:
+def _grid_columns(data, n_s: int, columns) -> tuple:
     """The abscissae of the n_s + 1 grid columns and their heights, the top
     of each column's v range.  columns maps the even steps s over
     [0, data.length] to both; None takes s itself and data's zeta(s).  A
-    first or last height within bc_tol of 0 is snapped to 0."""
+    first or last height within BC_TOL of 0 is snapped to 0."""
     s_values = np.linspace(0.0, data.length, n_s + 1)
     if columns is None:
         z = data.zeta.eval(s_values, 0)
@@ -232,7 +234,7 @@ def _grid_columns(data, n_s: int, columns, bc_tol: float = 1e-9) -> tuple:
         s_values, z = columns(s_values)
     z = np.array(z, dtype=float)
     ends = z[[0, -1]]
-    z[[0, -1]] = np.where(np.abs(ends) <= bc_tol, 0.0, ends)
+    z[[0, -1]] = np.where(np.abs(ends) <= BC_TOL, 0.0, ends)
     return s_values, z
 
 
@@ -248,7 +250,6 @@ _PIECE_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
 
 
 def assemble_reflected(X, data, n_s: int, n_v: int, *, columns=None,
-                       weld_tol: float | None = None,
                        require_horizontal_weld: bool = False) -> TriMesh:
     """Weld the four reflected copies of a quarter into one mesh.
 
@@ -256,10 +257,10 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *, columns=None,
     boundaries: vertical-end rows between a piece and its rho_V image (always
     coincident), the s-endpoint columns and horizontal-end rows between a
     piece and its rho_H image (coincident only when the horizontal end lies in
-    z = 0).  Each vertex pair within tolerance is welded; a correspondence
-    with any pair outside it is reported open, or, when required, raises
-    WeldFailure.  The weld report gives each correspondence's status and
-    worst gap, and the tolerance.  Each face is labelled with its slab and
+    z = 0).  Each vertex pair within _WELD_TOL_FACTOR x the bounding-box
+    diagonal is welded; a correspondence with any pair outside it is
+    reported open, or, when required, raises WeldFailure.  The weld report
+    gives each correspondence's status and worst gap, and the tolerance.  Each face is labelled with its slab and
     its piece k (see _PIECE_SIGNS); X must be a quarter map, whose x depends
     on s alone and increases with it, and which is injective.  The columns
     are evenly spaced over [0, data.length] unless columns maps those steps
@@ -283,7 +284,7 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *, columns=None,
     all_faces = faces.reshape(-1, 3)
 
     diag = float(np.linalg.norm(all_verts.max(axis=0) - all_verts.min(axis=0)))
-    tol = (_WELD_TOL_FACTOR * diag) if weld_tol is None else weld_tol
+    tol = _WELD_TOL_FACTOR * diag
 
     # correspondence: (quarter boundary ids, piece pairs it joins, required)
     correspondences = {
@@ -369,10 +370,9 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, labels: np.ndarray | None,
         p0 = p1
 
 
-def self_intersection_pairs(mesh: TriMesh,
-                            contact_tol_factor: float = _CONTACT_FACTOR) -> list:
+def self_intersection_pairs(mesh: TriMesh) -> list:
     """Face pairs (i, j), i < j, sorted, that share no vertex index and meet
-    along a segment longer than eps = contact_tol_factor x the mesh diagonal.
+    along a segment longer than eps = _CONTACT_FACTOR x the mesh diagonal.
 
     Broad phase: _box_pairs over the face labels, on boxes taken over each
     face's three corners.  Two filters then drop pairs that cannot hit: pairs
@@ -401,7 +401,7 @@ def self_intersection_pairs(mesh: TriMesh,
     z0, z1, z2 = P[:, :, 2].T
     level_z = np.where((z0 == z1) & (z1 == z2), z0, np.nan)
     normal, length = mesh.face_normals()
-    eps = contact_tol_factor * max(mesh.diagonal(), 1e-300)
+    eps = _CONTACT_FACTOR * max(mesh.diagonal(), 1e-300)
     hits = []
     for i, j in _box_pairs(lo, hi, mesh.face_labels, eps):
         keep = level_z[i] != level_z[j]     # NaN (not level) equals nothing
@@ -530,10 +530,9 @@ def export_obj(mesh: TriMesh, path) -> None:
         raise IoError(str(exc)) from exc
 
 
-def export_svg(path, width: float, height: float, polylines: list,
-               margin: float = 0.05) -> None:
+def export_svg(path, width: float, height: float, polylines: list) -> None:
     """Rectangle outline [0,w]x[0,h] plus polylines, y flipped to SVG."""
-    pad = margin * max(width, height)
+    pad = _SVG_MARGIN * max(width, height)
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')

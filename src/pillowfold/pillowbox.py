@@ -54,10 +54,10 @@ class QuarterParametrization(DeformedQuarter):
                                             *_alpha_functions(data))
         self.lower_strip = self.upper_strip.dual()
 
-    def X(self, s, v, domain_slack: float = 0.0) -> np.ndarray:
+    def X(self, s, v) -> np.ndarray:
         # DeformedQuarter.X; defined here too so that perfbench's tracer,
         # which hooks methods by class and name, times the folded quarter.
-        return super().X(s, v, domain_slack)
+        return super().X(s, v)
 
 
 def assemble_box(data: FundamentalData, n_s: int, n_v: int) -> TriMesh:

@@ -19,12 +19,24 @@ from .quadrature import cumulative_integral, gauss_segments, integrate_segments
 
 _SERIALIZABLE_KINDS = ("hyperbolic", "circular", "poly", "table")
 
+# Boundary-condition tolerance: how far zeta(0), zeta(L), an end slope or a
+# schedule's end values may sit from their exact values.
+BC_TOL = 1e-9
+# Interior samples of the admissibility conditions (profile, pattern graph,
+# schedule margins), on the open grid L i/(n + 1), i = 1..n.
+VALIDATION_SAMPLES = 99
+_SQRT_FLOOR = -1e-12        # below this a radicand is a genuine negative
+_WIDTH_TOL = 1e-12          # quadrature tolerance of the developed width
+_HEIGHT_SAMPLES = 4097      # even samples of max zeta
+_MAP_TOL = 1e-12            # quadrature tolerance of a monotone map's table
+_MAP_TABLE = 1025           # table points of a monotone map
 
-def safe_sqrt(x, floor: float = -1e-12):
+
+def safe_sqrt(x):
     """sqrt clamped against tiny negative round-off; genuine negatives NaN."""
     x = np.asarray(x, dtype=float)
     out = np.sqrt(np.clip(x, 0.0, None))
-    return np.where(x < floor, np.nan, out)
+    return np.where(x < _SQRT_FLOOR, np.nan, out)
 
 
 class ProfileFunction:
@@ -32,11 +44,11 @@ class ProfileFunction:
 
     Construct through the classmethods or from_descriptor; kinds "hyperbolic",
     "circular", "poly" and "table" round-trip through JSON descriptors, while
-    derived profiles evaluate but do not serialize: "reparam"
-    (graph_to_arclength_profile), "graph" (development.pattern_graph) and
-    "pattern-scaled" (deformation.pattern_scaling_family: one monotone map
-    over the base arc length).  travel, where set, is that map: s = travel.forward(u) takes
-    the base abscissa u to this profile's s.
+    derived profiles evaluate but do not serialize: "graph"
+    (development.pattern_graph), "reparam" (graph_to_arclength_profile) and
+    "pattern-scaled" (deformation.pattern_scaling_family), all made by
+    reparametrized, whose monotone map s = travel.forward(u) from the base
+    abscissa u to this profile's s is their travel.
     """
 
     def __init__(self, length: float, kind: str, evaluator, params: dict | None = None,
@@ -44,6 +56,7 @@ class ProfileFunction:
         if not np.isfinite(length) or length <= 0:
             raise DomainError(f"profile length must be positive, got {length}")
         self.length = float(length)
+        self.domain_tol = 1e-9 * max(self.length, 1.0)   # eval's s slack
         self.kind = kind
         self._evaluator = evaluator
         self.params = dict(params or {})
@@ -55,7 +68,7 @@ class ProfileFunction:
         if order not in (0, 1, 2):
             raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
         arr = np.asarray(s, dtype=float)
-        tol = 1e-9 * max(self.length, 1.0)
+        tol = self.domain_tol
         if np.any(arr < -tol) or np.any(arr > self.length + tol):
             bad = arr[(arr < -tol) | (arr > self.length + tol)].flat[0]
             raise DomainError(f"s = {bad} outside [0, {self.length}]")
@@ -185,18 +198,18 @@ class FundamentalData:
     def length(self) -> float:
         return self.zeta.length
 
-    def half_width(self, tol: float = 1e-12) -> float:
+    def half_width(self) -> float:
         """Half the developed width, int_0^L sqrt(1 - zeta'^2)/2 ds."""
         if self._half_width is None:
             def speed(s):
                 return safe_sqrt(1.0 - self.zeta.eval(s, 1) ** 2)
             total = integrate_segments(speed, np.array([0.0]),
-                                       np.array([self.length]), tol)[0]
+                                       np.array([self.length]), _WIDTH_TOL)[0]
             self._half_width = 0.5 * float(total)
         return self._half_width
 
-    def max_height(self, n: int = 4097) -> float:
-        s = np.linspace(0.0, self.length, n)
+    def max_height(self) -> float:
+        s = np.linspace(0.0, self.length, _HEIGHT_SAMPLES)
         return float(np.max(self.zeta.eval(s, 0)))
 
     def descriptor(self) -> dict:
@@ -221,22 +234,21 @@ class ValidationReport:
     entries: list
     valid: bool
     n_samples: int
-    bc_tol: float
 
     def to_dict(self) -> dict:
         return {"valid": self.valid, "n_samples": self.n_samples,
-                "bc_tol": self.bc_tol, "entries": self.entries}
+                "bc_tol": BC_TOL, "entries": self.entries}
 
 
 def validate_fundamental_data(b: float, zeta: ProfileFunction,
-                              n_samples: int = 99,
-                              bc_tol: float = 1e-9) -> ValidationReport:
+                              n_samples: int = VALIDATION_SAMPLES
+                              ) -> ValidationReport:
     """Check (b, zeta) against the admissibility conditions.
 
     Interior conditions are sampled on the open grid s_i = L i/(n+1),
-    i = 1..n; endpoint values use bc_tol.  The endpoint slope may sit exactly
+    i = 1..n; endpoint values use BC_TOL.  The endpoint slope may sit exactly
     on the degenerate value 1/sqrt2, as the demo's does, so its entry passes
-    while its margin 1/sqrt2 - max(|zeta'(0)|, |zeta'(L)|) is >= -bc_tol;
+    while its margin 1/sqrt2 - max(|zeta'(0)|, |zeta'(L)|) is >= -BC_TOL;
     steeper ends make the folded crease's rate sqrt(1 - 2 zeta'^2) complex.
     """
     if not np.isfinite(b) or b <= 0:
@@ -256,7 +268,7 @@ def validate_fundamental_data(b: float, zeta: ProfileFunction,
                 "worst_s": float(worst_s), "gating": True}
 
     entries = [
-        entry("endpoints-zero", bc_tol - np.max(np.abs(ends)),
+        entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),
               0.0 if abs(ends[0]) >= abs(ends[1]) else L),
         entry("interior-positive", np.min(z0), s[np.argmin(z0)]),
         entry("below-b", b - np.max(z0), s[np.argmax(z0)]),
@@ -268,9 +280,9 @@ def validate_fundamental_data(b: float, zeta: ProfileFunction,
     end_margin = 1.0 / np.sqrt(2.0) - np.max(end_slopes)
     entries.append(entry("endpoint-slope", end_margin,
                          0.0 if end_slopes[0] >= end_slopes[1] else L,
-                         passed=end_margin >= -bc_tol))
+                         passed=end_margin >= -BC_TOL))
     valid = all(e["passed"] for e in entries)
-    return ValidationReport(entries, valid, n_samples, bc_tol)
+    return ValidationReport(entries, valid, n_samples)
 
 
 class _MonotoneMap:
@@ -281,11 +293,11 @@ class _MonotoneMap:
     a few Newton steps, so both directions are deterministic and vectorize.
     """
 
-    def __init__(self, rate, span: float, tol: float = 1e-12, n_table: int = 1025):
+    def __init__(self, rate, span: float):
         self.rate = rate
         self.span = float(span)
-        self.grid = np.linspace(0.0, self.span, n_table)
-        self.table = cumulative_integral(rate, self.grid, tol=tol)
+        self.grid = np.linspace(0.0, self.span, _MAP_TABLE)
+        self.table = cumulative_integral(rate, self.grid, tol=_MAP_TOL)
         if np.any(np.diff(self.table) <= 0.0):
             raise NonMonotone("cumulative rate is not strictly increasing")
         self.total = float(self.table[-1])
@@ -305,36 +317,48 @@ class _MonotoneMap:
         return u
 
 
+def reparametrized(f: ProfileFunction, k: float, c: float = 1.0, *,
+                   kind: str) -> ProfileFunction:
+    """c f(u) read along x = int_0^u m, m = sqrt(1 + k f'^2).
+
+    Every derived profile is one of these.  k = -1 makes x the developed
+    abscissa int_0^u sqrt(1 - f'^2) of the crease pattern; k = c^2 - 1 the
+    arc length of the scaled pattern (int_0^u sqrt(1 - f'^2), c f); k = 1
+    or 2 the arc length of the graph (u, f) or of the folded crease
+    (u, f, f).  With u = u(x) the inverse map and dm/du = k f' f''/m,
+
+        g = c f(u),  g' = c f'/m,  g'' = c f''/(1 + k f'^2)^2.
+
+    The map is kept as the profile's travel; the length is its total.
+    """
+
+    def rate(u):
+        return safe_sqrt(1.0 + k * np.asarray(f.eval(u, 1)) ** 2)
+
+    travel = _MonotoneMap(rate, f.length)
+
+    def evaluator(x, order):
+        u = travel.inverse(x)
+        if order == 0:
+            return c * np.asarray(f.eval(u, 0))
+        f1 = np.asarray(f.eval(u, 1))
+        if order == 1:
+            return c * f1 / safe_sqrt(1.0 + k * f1 ** 2)
+        return c * np.asarray(f.eval(u, 2)) / (1.0 + k * f1 ** 2) ** 2
+
+    return ProfileFunction(travel.total, kind, evaluator, travel=travel)
+
+
 def graph_to_arclength_profile(f: ProfileFunction,
                                mode: str) -> tuple[float, ProfileFunction]:
     """Convert a graph profile f(x) to an arc-length profile zeta(s).
 
     mode "space-crease" takes s as arc length of the folded crease
     (x, f(x), f(x)); mode "plane-crease" takes s as arc length of the planar
-    graph (x, f(x)).  Derivatives transform with the speed m = sqrt(1 + k f'^2)
-    (k = 2 or 1): zeta' = f'/m and zeta'' = f''/m^4.
+    graph (x, f(x)): reparametrized with k = 2 or 1.
     """
-    if mode == "space-crease":
-        k = 2.0
-    elif mode == "plane-crease":
-        k = 1.0
-    else:
+    k = {"space-crease": 2.0, "plane-crease": 1.0}.get(mode)
+    if k is None:
         raise DomainError(f"mode must be 'space-crease' or 'plane-crease', got {mode!r}")
-
-    def speed(x):
-        return np.sqrt(1.0 + k * np.asarray(f.eval(x, 1)) ** 2)
-
-    mapping = _MonotoneMap(speed, f.length)
-    L = mapping.total
-
-    def evaluator(s, order):
-        x = mapping.inverse(s)
-        if order == 0:
-            return f.eval(x, 0)
-        m = speed(x)
-        if order == 1:
-            return np.asarray(f.eval(x, 1)) / m
-        return np.asarray(f.eval(x, 2)) / m ** 4
-
-    return L, ProfileFunction(L, "reparam", evaluator,
-                              {"mode": mode, "base_kind": f.kind})
+    zeta = reparametrized(f, k, kind="reparam")
+    return zeta.length, zeta

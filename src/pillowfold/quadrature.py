@@ -42,11 +42,12 @@ def _evaluate(fn, *parts):
     return np.split(values, len(parts))
 
 
-def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndarray:
+def integrate_segments(fn, lo, hi, tol) -> np.ndarray:
     """Integrate fn over each [lo_i, hi_i] with per-segment absolute tolerance.
 
     Returns one value per segment. Accepted panels use Richardson
-    extrapolation of the two Simpson estimates.
+    extrapolation of the two Simpson estimates.  More than MAX_PANELS
+    panels in one call raise QuadratureFailure.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -83,9 +84,9 @@ def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndar
         keep = ~accept
         n_new = 2 * int(np.count_nonzero(keep))
         n_panels += n_new
-        if n_panels > max_panels:
+        if n_panels > MAX_PANELS:
             raise QuadratureFailure(
-                f"panel cap {max_panels} exceeded ({seg[keep].size} panels still open)"
+                f"panel cap {MAX_PANELS} exceeded ({seg[keep].size} panels still open)"
             )
         seg = np.concatenate([seg[keep], seg[keep]])
         a = np.concatenate([a[keep], m[keep]])
@@ -100,8 +101,7 @@ def integrate_segments(fn, lo, hi, tol, max_panels: int = MAX_PANELS) -> np.ndar
     return totals
 
 
-def cumulative_integral(fn, points, tol: float = 1e-12,
-                        max_panels: int = MAX_PANELS) -> np.ndarray:
+def cumulative_integral(fn, points, tol: float = 1e-12) -> np.ndarray:
     """Cumulative integral of fn along ascending points, zero at points[0].
 
     The per-segment tolerance is tol scaled by the segment's share of the
@@ -124,8 +124,7 @@ def cumulative_integral(fn, points, tol: float = 1e-12,
     if total <= 0:
         return np.zeros(pts.size)
     seg_tol = np.maximum(tol * widths / total, 1e-16)
-    increments = integrate_segments(fn, pts[:-1], pts[1:], seg_tol,
-                                    max_panels=max_panels)
+    increments = integrate_segments(fn, pts[:-1], pts[1:], seg_tol)
     out = np.empty(pts.size)
     out[0] = 0.0
     np.cumsum(increments, out=out[1:])

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation, development, folding, pillowbox
-from .errors import CollinearSamples, DegenerateMetric, GridTooCoarse
+from .errors import (CollinearSamples, DegenerateMetric, DomainError,
+                     GridTooCoarse)
 from .mesh import (TriMesh, min_triangle_area_check, quarter_grid_v,
                    self_intersection_pairs)
 from .profiles import FundamentalData
@@ -290,13 +291,16 @@ def box_checks(data: FundamentalData, n_s: int, n_v: int):
 def development_checks(data: FundamentalData, n_s: int, n_v: int,
                        tol_image: float):
     """Checks on the flat state; returns (reports, development, pattern
-    graph, double rectangle)."""
+    graph, double rectangle).  Grids below 2x2 raise GridTooCoarse, as
+    mesh.assemble_reflected's do."""
+    if n_s < 2 or n_v < 2:
+        raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
     reports = []
     dev = development.PlanarDevelopment(data)
     two_a = dev.width
     s = np.linspace(0.0, data.length, n_s + 1)
     z0 = np.asarray(data.zeta.eval(s, 0))
-    vmat = quarter_grid_v(z0, data.b, max(n_v // 2, 1), max(n_v - n_v // 2, 1))
+    vmat = quarter_grid_v(z0, data.b, n_v // 2, n_v - n_v // 2)
     pts = dev.Y(np.broadcast_to(s, vmat.shape), vmat)
     lo = pts.reshape(-1, 3).min(axis=0)
     hi = pts.reshape(-1, 3).max(axis=0)
@@ -312,7 +316,7 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int,
     reports.append(CheckReport(
         "double-rectangle", f"{max(n_s // 2, 2)}", abs(topo.volume),
         (0.0, 0.0), 1e-12, ok))
-    psi = development.pattern_graph(data)
+    psi = dev.pattern
     pat = development.validate_pattern_conditions(psi, data.b)
     reports.append(CheckReport(
         "pattern-conditions", f"{pat.n_samples}",
@@ -361,26 +365,34 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     """The full battery: isometry and flatness of the strips, crease and end
     structure, the box, the flat state, the closure obstruction and the
     dual-metric dichotomy, in that order.  tols maps each TOLERANCES name
-    to its threshold; eps is the endpoint guard of the interior grids."""
+    to its threshold; eps is the endpoint guard of the interior grids, a
+    DomainError if it lets a stencil step past either end of [0, L]."""
     n_half = max(n_v // 4, 3)
     # One quarter per state, so the checks of a state share its crease and
     # that crease's travel memo.  They are built in the order the checks
     # first use them, so a schedule error names the first state checked.
     quarters = {t: deformation.deformed_quarter(data, schedule, t)
                 for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.7)}
+    L, tol = data.length, data.zeta.domain_tol
+    h_iso = (1e-5 * max(L, 1.0), 1e-6 * max(data.b, 1.0))
+    h_flat = (1e-4 * max(L, 1.0), 1e-4 * max(data.b, 1.0))
+    h_s = max(h_iso[0], h_flat[0])      # stencils reach the grid's ends +- h_s
+    s = folding.interior_grid(L, n_s, eps)
+    if s[0] - h_s < -tol or s[-1] + h_s > L + tol:
+        raise DomainError(f"endpoint guard {eps:g} lets the stencil step "
+                          f"{h_s:g} leave [0, {L:g}]; it must be at least "
+                          f"{h_s / L:g}")
 
     def at(*t_values):
         return {t: quarters[t] for t in t_values}
     reports = []
     reports += _stencil_checks(check_isometry, "isometry", data,
                                at(0.0, 0.25, 0.5, 0.75, 1.0), n_s, n_half, eps,
-                               1e-5 * max(data.length, 1.0),
-                               1e-6 * max(data.b, 1.0), tols["isometry"],
+                               *h_iso, tols["isometry"],
                                reference=_metric_reference(data))
     reports += _stencil_checks(check_flatness, "flatness", data,
                                at(0.0, 0.5, 1.0), n_s, n_half, eps,
-                               1e-4 * max(data.length, 1.0),
-                               1e-4 * max(data.b, 1.0), tols["flatness"])
+                               *h_flat, tols["flatness"])
     reports += _structure_checks(data, at(0.0, 0.3, 0.7, 1.0),
                                  n_s, eps, tols)
     reports += box_checks(data, n_s, n_v)[0]

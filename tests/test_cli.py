@@ -109,6 +109,14 @@ def test_develop_outputs(capsys, tmp_path):
     assert (out / "pattern.svg").exists()
     rect = oc.load_obj(out / "double_rectangle.obj")
     assert rect.is_closed() and rect.euler_characteristic() == 2
+    # below 2x2 develop refuses the grid, as every other subcommand does
+    for grid in ("1x1", "0x0", "8x-4", "-3x4"):
+        coarse = tmp_path / f"coarse{grid}"
+        rc, payload, err = run_cli(capsys, "develop", f"--grid={grid}",
+                                   "--out", str(coarse))
+        assert rc == 2 and payload is None, grid
+        assert json.loads(err)["error"] == "GridTooCoarse"
+        assert not coarse.exists()
 
 
 def test_deform_single_state(capsys, tmp_path):
@@ -280,16 +288,21 @@ def test_certify_is_what_verify_all_prints(box, capsys, tmp_path):
     assert [r.to_dict() for r in reports] == payload["checks"]
 
 
-@pytest.mark.parametrize("eps", ["0.5", "0.6", "-1", "nan"])
+@pytest.mark.parametrize("eps", ["0.5", "0.6", "-1", "nan", "9e-5", "1e-12"])
 def test_verify_endpoint_guard_outside_the_open_half_exits_2(eps, capsys,
                                                              tmp_path):
     # 0.5 collapses every interior grid to s = L/2, 0.6 runs it backwards:
-    # neither certifies anything, so neither may pass
+    # neither certifies anything, so neither may pass.  Below 1e-4 the
+    # demo's flatness stencil, step 2e-4, would leave [0, 2].
     rc, payload, err = run_cli(capsys, "verify", "--all", "--grid", "8x4",
                                f"--eps-endpoint={eps}",
                                "--out", str(tmp_path))
     assert rc == 2 and payload is None
-    assert json.loads(err)["error"] == "DomainError"
+    err = json.loads(err)
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith("endpoint guard")
+    if 0.0 < float(eps) < 1e-4:
+        assert err["message"].endswith("it must be at least 0.0001")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -60,6 +60,9 @@ def test_pattern_graph_matches_closed_form():
     # slope oracle: psi' = -sinh(x - a)
     assert np.max(np.abs(psi.eval(x, 1)
                          + np.sinh(x - oc.PATTERN_SHIFT))) < 1e-8
+    # curvature oracle: psi'' = -cosh(x - a)
+    assert np.max(np.abs(psi.eval(x, 2)
+                         + np.cosh(x - oc.PATTERN_SHIFT))) < 1e-8
 
 
 def test_pattern_slope_stays_subunit_inside():

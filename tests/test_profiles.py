@@ -8,7 +8,7 @@ import pytest
 
 from pillowfold.errors import (DomainError, IoError, NonFiniteEvaluation,
                                NonMonotone)
-from pillowfold.profiles import (FundamentalData, ProfileFunction,
+from pillowfold.profiles import (BC_TOL, FundamentalData, ProfileFunction,
                                  graph_to_arclength_profile,
                                  validate_fundamental_data)
 
@@ -198,13 +198,12 @@ def test_validate_steep_profile_fails_slope():
                                             (2.0, False)])
 def test_validate_end_slope_threshold(excess, valid):
     # a s - a s^2 / 2 on [0, 2]: end slopes +-a, interior slopes below a
-    bc_tol = 1e-9
-    a = 1.0 / np.sqrt(2.0) + excess * bc_tol
+    a = 1.0 / np.sqrt(2.0) + excess * BC_TOL
     report = validate_fundamental_data(
-        1.0, ProfileFunction.polynomial([0.0, a, -0.5 * a], 2.0), bc_tol=bc_tol)
+        1.0, ProfileFunction.polynomial([0.0, a, -0.5 * a], 2.0))
     entry = next(e for e in report.entries if e["name"] == "endpoint-slope")
     assert entry["gating"] and entry["passed"] == valid
-    assert abs(entry["margin"] + excess * bc_tol) < 1e-15
+    assert abs(entry["margin"] + excess * BC_TOL) < 1e-15
     assert report.valid == valid
 
 
@@ -221,6 +220,7 @@ def test_graph_to_arclength_plane_mode():
     s = np.linspace(0.05, 1.95, 21)
     assert np.max(np.abs(zeta_hat.eval(s, 0) - oc.demo_zeta(s, 0))) < 1e-9
     assert np.max(np.abs(zeta_hat.eval(s, 1) - oc.demo_zeta(s, 1))) < 1e-9
+    assert np.max(np.abs(zeta_hat.eval(s, 2) - oc.demo_zeta(s, 2))) < 1e-9
 
 
 def test_graph_to_arclength_space_mode():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillowfold import quadrature
 from pillowfold.curves import ProfileCrease
 from pillowfold.errors import NonFiniteEvaluation, QuadratureFailure
 from pillowfold.profiles import FundamentalData
@@ -69,12 +70,12 @@ def test_integrate_segments_matches_scalar_calls():
     assert vals[2] == 0.0
 
 
-def test_integrate_segments_panel_budget():
+def test_integrate_segments_panel_budget(monkeypatch):
     def wiggly(x):
         return np.sin(1000.0 * x)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureFailure):
-        integrate_segments(wiggly, np.array([0.0]), np.array([1.0]),
-                           1e-14, max_panels=8)
+        integrate_segments(wiggly, np.array([0.0]), np.array([1.0]), 1e-14)
 
 
 def test_non_finite_integrand_rejected():
