@@ -84,6 +84,9 @@ def _parse_tol(pairs, parser) -> dict:
             tols[name] = float(value)
         except ValueError:
             parser.error(f"--tol {name} expects a number, got {value!r}")
+        if not np.isfinite(tols[name]) or tols[name] < 0.0:
+            parser.error(f"--tol {name} must be finite and >= 0, "
+                         f"got {value!r}")
     return tols
 
 
@@ -94,7 +97,10 @@ def _emit(obj) -> None:
 def _artifact(out_dir: str | None, name: str) -> str | None:
     if out_dir is None:
         return None
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot use {out_dir} for artifacts: {exc}") from exc
     return os.path.join(out_dir, name)
 
 
@@ -197,9 +203,7 @@ def _cmd_verify(args) -> int:
     payload = [r.to_dict() for r in reports]
     path = _artifact(args.out, "verify.json")
     if path:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        mesh.export_trace(payload, path)
     _emit({"checks": payload,
            "passed": int(sum(r.passed for r in reports)),
            "total": len(reports)})

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ProfileCrease
-from .errors import DomainError, IoError, OutOfDomain, ScheduleViolation
+from .errors import (DomainError, GridTooCoarse, IoError, OutOfDomain,
+                     ScheduleViolation)
 from .mesh import TriMesh, assemble_reflected
 from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
                        reparametrized)
@@ -147,19 +148,26 @@ def validate_schedule(data: FundamentalData,
     return ScheduleReport(entries, all(e["passed"] for e in entries))
 
 
-def quarter_domain(data: FundamentalData, s, v, slack: float,
-                   scale: float = 1.0) -> tuple:
-    """(s, v) as arrays of one shape, after checking v in
-    [scale zeta - b, scale zeta] up to a tolerance loosened by slack.  Every
-    quarter map (folded, deformed, pattern-scaled, developed) is defined on
-    this domain."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    v_arr = np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape)
-    z0 = scale * np.asarray(data.zeta.eval(s_arr, 0))
-    tol = 1e-9 * max(data.length, data.b) + slack
-    if np.any(v_arr > z0 + tol) or np.any(v_arr < z0 - data.b - tol):
+def quarter_domain(top, v, b: float, length: float,
+                   slack: float) -> np.ndarray:
+    """v broadcast to the shape of top, after checking v in [top - b, top]
+    up to the tolerance 1e-9 max(length, b) loosened by slack; top is the
+    crease's height y at each point's abscissa, which the caller holds.
+    Every quarter map (folded, deformed, pattern-scaled, developed) is
+    defined on this domain."""
+    v_arr = np.broadcast_to(np.asarray(v, dtype=float), np.shape(top))
+    tol = 1e-9 * max(length, b) + slack
+    if np.any(v_arr > top + tol) or np.any(v_arr < top - b - tol):
         raise OutOfDomain("v outside [zeta - b, zeta]")
-    return s_arr, v_arr
+    return v_arr
+
+
+def grid_columns(length: float, n_s: int) -> np.ndarray:
+    """The abscissae of a quarter mesh's n_s + 1 columns, evenly spaced
+    over [0, length]; GridTooCoarse below n_s = 2."""
+    if n_s < 2:
+        raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
+    return np.linspace(0.0, length, n_s + 1)
 
 
 class DeformedQuarter:
@@ -203,9 +211,14 @@ class DeformedQuarter:
                                   -2.0 * self.lam / denom])
         self.xi_lower = XI_LOWER.copy()
 
+    def _base(self, s, v, slack: float) -> tuple:
+        """The crease points over s and v, checked against their height."""
+        base = self.crease.point(np.atleast_1d(np.asarray(s, dtype=float)))
+        return base, quarter_domain(base[..., 1], v, self.data.b,
+                                    self.length, slack)
+
     def X(self, s, v) -> np.ndarray:
-        s_arr, v_arr = quarter_domain(self.data, s, v, 0.0, self.scale)
-        base = self.crease.point(s_arr)
+        base, v_arr = self._base(s, v, 0.0)
         ruling = np.where((v_arr >= 0.0)[..., None], self.xi_upper, self.xi_lower)
         return base + v_arr[..., None] * ruling
 
@@ -218,19 +231,15 @@ class DeformedQuarter:
         xi = {"upper": self.xi_upper, "lower": self.xi_lower}[side]
 
         def strip(s, v):
-            s_arr, v_arr = quarter_domain(self.data, s, v, slack, self.scale)
-            return self.crease.point(s_arr) + v_arr[..., None] * xi
+            base, v_arr = self._base(s, v, slack)
+            return base + v_arr[..., None] * xi
         return strip
 
-    def _top(self, s) -> np.ndarray:
-        s_arr = np.atleast_1d(np.asarray(s, float))
-        return self.scale * np.asarray(self.data.zeta.eval(s_arr, 0))
-
     def vertical_end(self, s) -> np.ndarray:
-        return self.X(s, self._top(s) - self.data.b)
+        return self.X(s, self.crease.point(s)[..., 1] - self.data.b)
 
     def horizontal_end(self, s) -> np.ndarray:
-        return self.X(s, self._top(s))
+        return self.X(s, self.crease.point(s)[..., 1])
 
 
 def deformed_quarter(data: FundamentalData, schedule: DeformationSchedule,
@@ -265,8 +274,8 @@ def assemble_deformed(data: FundamentalData, schedule: DeformationSchedule,
     the plane z = 0; in between the mesh is reported open, never an error.
     """
     quarter = deformed_quarter(data, schedule, t)
-    return assemble_reflected(quarter.X, data, n_s, n_v,
-                              require_horizontal_weld=False)
+    return assemble_reflected(quarter.X, grid_columns(data.length, n_s),
+                              data.b, n_v, require_horizontal_weld=False)
 
 
 def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
@@ -314,12 +323,7 @@ def assemble_pattern_scaled(data: FundamentalData, t: float, n_s: int,
     quadrature's rounding.  Every weld is required, as in assemble_box.
     """
     member = pattern_scaling_family(data, t)
-    c = 1.0 - t
-    quarter = DeformedQuarter(data, 1.0, scale=c)
-
-    def columns(s):
-        u = member.zeta.travel.inverse(s)
-        return u, c * np.asarray(data.zeta.eval(u, 0))
-    return member, assemble_reflected(quarter.X, member, n_s, n_v,
-                                      columns=columns,
+    quarter = DeformedQuarter(data, 1.0, scale=1.0 - t)
+    u = member.zeta.travel.inverse(grid_columns(member.length, n_s))
+    return member, assemble_reflected(quarter.X, u, data.b, n_v,
                                       require_horizontal_weld=True)

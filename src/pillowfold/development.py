@@ -45,9 +45,9 @@ class PlanarDevelopment:
                          np.zeros_like(z0)], axis=-1)
 
     def Y(self, s, v) -> np.ndarray:
-        s_arr, v_arr = quarter_domain(self.data, s, v, 0.0)
-        out = self.gamma(s_arr)
-        out[..., 1] -= v_arr
+        out = self.gamma(s)
+        out[..., 1] -= quarter_domain(out[..., 1], v, self.data.b,
+                                      self.length, 0.0)
         return out
 
 

@@ -166,14 +166,15 @@ class TriMesh:
 # Quarter-grid sampling and triangulation
 # ---------------------------------------------------------------------------
 
-def quarter_grid_v(zeta_values: np.ndarray, b: float, n_lower: int,
+def quarter_grid_v(heights: np.ndarray, b: float, n_lower: int,
                    n_upper: int) -> np.ndarray:
-    """Per-column v samples from v = zeta - b up to v = zeta, crease row at 0.
+    """Per-column v samples from v = h - b up to v = h, h the column's
+    height, crease row at 0.
 
     Rows run bottom (vertical end) to top (horizontal end); row n_lower is
     exactly v = 0 so the crease is a mesh polyline.
     """
-    z = np.asarray(zeta_values, dtype=float)
+    z = np.asarray(heights, dtype=float)
     lower = np.multiply.outer(1.0 - np.arange(n_lower) / n_lower, z - b)
     upper = np.multiply.outer(np.arange(n_upper + 1) / n_upper, z)
     return np.concatenate([lower, upper])
@@ -203,7 +204,7 @@ def _grid_faces(idx: np.ndarray, crease_row: int) -> tuple:
     return tris[keep], slabs[keep]
 
 
-def sample_quarter(X, s_values: np.ndarray, zeta_values: np.ndarray, b: float,
+def sample_quarter(X, s_values: np.ndarray, heights: np.ndarray, b: float,
                    n_lower: int, n_upper: int):
     """Evaluate X on the quarter grid; returns (vertices, idx, faces, slabs).
 
@@ -211,7 +212,7 @@ def sample_quarter(X, s_values: np.ndarray, zeta_values: np.ndarray, b: float,
     vertex id of each grid point; slabs the column interval of each face.
     """
     s = np.asarray(s_values, dtype=float)
-    vmat = quarter_grid_v(zeta_values, b, n_lower, n_upper)
+    vmat = quarter_grid_v(heights, b, n_lower, n_upper)
     smat = np.broadcast_to(s, vmat.shape)
     pts = X(smat, vmat)
     if not np.all(np.isfinite(pts)):
@@ -220,22 +221,6 @@ def sample_quarter(X, s_values: np.ndarray, zeta_values: np.ndarray, b: float,
     verts, idx = _grid_indices(pts, _DEDUPE_FACTOR * max(scale, 1.0))
     faces, slabs = _grid_faces(idx, crease_row=n_lower)
     return verts, idx, faces, slabs
-
-
-def _grid_columns(data, n_s: int, columns) -> tuple:
-    """The abscissae of the n_s + 1 grid columns and their heights, the top
-    of each column's v range.  columns maps the even steps s over
-    [0, data.length] to both; None takes s itself and data's zeta(s).  A
-    first or last height within BC_TOL of 0 is snapped to 0."""
-    s_values = np.linspace(0.0, data.length, n_s + 1)
-    if columns is None:
-        z = data.zeta.eval(s_values, 0)
-    else:
-        s_values, z = columns(s_values)
-    z = np.array(z, dtype=float)
-    ends = z[[0, -1]]
-    z[[0, -1]] = np.where(np.abs(ends) <= BC_TOL, 0.0, ends)
-    return s_values, z
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +234,13 @@ _PIECE_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
                          [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
 
 
-def assemble_reflected(X, data, n_s: int, n_v: int, *, columns=None,
+def assemble_reflected(X, s_values, b: float, n_v: int, *,
                        require_horizontal_weld: bool = False) -> TriMesh:
     """Weld the four reflected copies of a quarter into one mesh.
 
+    The quarter X is sampled in columns at the given abscissae (at least 3),
+    each from v = h - b up to its height h, the y of X(s, 0) on the crease;
+    a first or last height within BC_TOL of 0 is snapped to 0.
     Reflections: rho_V about the plane y = b, rho_H about z = 0. Corresponding
     boundaries: vertical-end rows between a piece and its rho_V image (always
     coincident), the s-endpoint columns and horizontal-end rows between a
@@ -260,23 +248,25 @@ def assemble_reflected(X, data, n_s: int, n_v: int, *, columns=None,
     z = 0).  Each vertex pair within _WELD_TOL_FACTOR x the bounding-box
     diagonal is welded; a correspondence with any pair outside it is
     reported open, or, when required, raises WeldFailure.  The weld report
-    gives each correspondence's status and worst gap, and the tolerance.  Each face is labelled with its slab and
-    its piece k (see _PIECE_SIGNS); X must be a quarter map, whose x depends
-    on s alone and increases with it, and which is injective.  The columns
-    are evenly spaced over [0, data.length] unless columns maps those steps
-    to X's own abscissae and heights (see _grid_columns).
+    gives each correspondence's status and worst gap, and the tolerance.
+    Each face is labelled with its slab and its piece k (see _PIECE_SIGNS);
+    X must be a quarter map, whose x depends on s alone and increases with
+    it, and which is injective.
     """
-    if n_s < 2 or n_v < 2:
+    s_values = np.asarray(s_values, dtype=float)
+    if s_values.size < 3 or n_v < 2:
         raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
-    s_values, zeta_values = _grid_columns(data, n_s, columns)
+    heights = np.array(X(s_values, 0.0)[:, 1])
+    ends = heights[[0, -1]]
+    heights[[0, -1]] = np.where(np.abs(ends) <= BC_TOL, 0.0, ends)
     n_lower = n_v // 2
     n_upper = n_v - n_lower
-    verts0, idx, faces0, slabs = sample_quarter(X, s_values, zeta_values,
-                                                data.b, n_lower, n_upper)
+    verts0, idx, faces0, slabs = sample_quarter(X, s_values, heights, b,
+                                                n_lower, n_upper)
 
     n_local = len(verts0)
     pieces = verts0 * _PIECE_SIGNS[:, None, :]
-    pieces[_PIECE_SIGNS[:, 1] < 0, :, 1] += 2.0 * data.b
+    pieces[_PIECE_SIGNS[:, 1] < 0, :, 1] += 2.0 * b
     faces = faces0 + n_local * np.arange(4)[:, None, None]
     mirrored = np.prod(_PIECE_SIGNS, axis=1) < 0
     faces[mirrored] = faces[mirrored][:, :, [0, 2, 1]]
@@ -554,7 +544,8 @@ def export_svg(path, width: float, height: float, polylines: list) -> None:
 
 
 def export_trace(rows: list, path) -> None:
-    """Sweep trace as a JSON array, one row per requested t."""
+    """Rows as an indented JSON array: a sweep trace, one row per requested
+    t, or verify's check reports."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             json.dump(rows, fh, indent=2)

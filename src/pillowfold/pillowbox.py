@@ -14,28 +14,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import SIGMA_MIN
-from .deformation import XI_LOWER, DeformedQuarter
+from .curves import SIGMA_MIN, ProfileCrease
+from .deformation import XI_LOWER, DeformedQuarter, grid_columns
 from .folding import DevelopableStrip
 from .mesh import TriMesh, assemble_reflected
-from .profiles import FundamentalData, safe_sqrt
+from .profiles import FundamentalData
 
 XI_UPPER = np.array([0.0, 0.0, -1.0])
 
 
-def _alpha_functions(data: FundamentalData):
-    zeta = data.zeta
-
-    def sigma(s):
-        return safe_sqrt(1.0 - 2.0 * np.asarray(zeta.eval(s, 1)) ** 2)
+def _alpha_functions(crease: ProfileCrease):
+    """The upper strip's angle alpha = arctan(1 / sigma) and its derivative,
+    sigma the rate of the folded crease."""
+    zeta = crease.data.zeta
 
     def alpha(s):
-        return np.arctan2(1.0, sigma(s))
+        return np.arctan2(1.0, crease.sigma(s))
 
     def alpha_prime(s):
         z1 = np.asarray(zeta.eval(s, 1))
         z2 = np.asarray(zeta.eval(s, 2))
-        sig = sigma(s)
+        sig = crease.sigma(s)
         return 2.0 * z1 * z2 / (sig * (sig ** 2 + 1.0))
 
     return alpha, alpha_prime
@@ -51,7 +50,7 @@ class QuarterParametrization(DeformedQuarter):
     def __init__(self, data: FundamentalData):
         super().__init__(data, 1.0, 0.0)
         self.upper_strip = DevelopableStrip(self.crease,
-                                            *_alpha_functions(data))
+                                            *_alpha_functions(self.crease))
         self.lower_strip = self.upper_strip.dual()
 
     def X(self, s, v) -> np.ndarray:
@@ -67,8 +66,8 @@ def assemble_box(data: FundamentalData, n_s: int, n_v: int) -> TriMesh:
     columns) are required here; any miss raises WeldFailure.
     """
     quarter = QuarterParametrization(data)
-    return assemble_reflected(quarter.X, data, n_s, n_v,
-                              require_horizontal_weld=True)
+    return assemble_reflected(quarter.X, grid_columns(data.length, n_s),
+                              data.b, n_v, require_horizontal_weld=True)
 
 
 __all__ = ["XI_UPPER", "XI_LOWER", "SIGMA_MIN", "QuarterParametrization",

@@ -5,17 +5,24 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, strategies as st
 
-from pillowfold.profiles import FundamentalData, validate_fundamental_data
+from pillowfold.profiles import (FundamentalData, ProfileFunction,
+                                 validate_fundamental_data)
+
+CRITICAL_SLOPE = 1.0 / np.sqrt(2.0)
 
 
 @st.composite
 def admissible_data(draw) -> FundamentalData:
-    """(b, zeta) over the four serializable profile kinds, with end slopes
-    up to 0.7 and b above max zeta, kept when validate_fundamental_data
-    accepts them."""
+    """(b, zeta) over the four serializable profile kinds, with lengths from
+    0.5 to 10, end slopes up to and including the critical 1/sqrt2 (where
+    the folded crease's rate sqrt(1 - 2 zeta'^2) vanishes, as the demo's
+    does), and b from 1.001 to 20 times max zeta, kept when
+    validate_fundamental_data accepts them."""
     kind = draw(st.sampled_from(["hyperbolic", "circular", "poly", "table"]))
-    length = draw(st.floats(1.0, 3.0))
-    slope = draw(st.floats(0.1, 0.7))      # about the larger end slope
+    length = draw(st.floats(0.5, 10.0))
+    # about the larger end slope
+    slope = draw(st.one_of(st.just(CRITICAL_SLOPE),
+                           st.floats(0.1, CRITICAL_SLOPE)))
     if kind == "hyperbolic":
         # end slope 1 / hypot(1, width / half)
         zeta = {"kind": kind, "length": length,
@@ -31,17 +38,20 @@ def admissible_data(draw) -> FundamentalData:
         zeta = {"kind": kind, "length": length,
                 "coeffs": [0.0, a * length, a * (c - 1.0), -a * c / length]}
     else:
-        # a tilted sine arch sampled at 5 to 9 knots
+        # a tilted sine arch sampled at 5 to 9 knots; the spline is linear
+        # in its values, so scaling them sets its larger end slope
         u = np.linspace(0.0, 1.0, draw(st.integers(5, 9)))
         tilt = draw(st.floats(-0.4, 0.4))
-        values = slope / (1.0 + 0.5 * abs(tilt)) * length / np.pi \
-            * np.sin(np.pi * u) * (1.0 + tilt * (u - 0.5))
-        values[[0, -1]] = 0.0
+        arch = np.sin(np.pi * u) * (1.0 + tilt * (u - 0.5))
+        arch[[0, -1]] = 0.0
+        unit = ProfileFunction.tabulated(length * u, arch)
+        values = arch * slope / max(abs(unit.eval(0.0, 1)),
+                                    abs(unit.eval(length, 1)))
         zeta = {"kind": kind, "s": (length * u).tolist(),
                 "values": values.tolist()}
     height = FundamentalData.from_descriptor(
         {"b": 1.0, "zeta": zeta}).max_height()
     data = FundamentalData.from_descriptor(
-        {"b": height * draw(st.floats(1.1, 4.0)), "zeta": zeta})
+        {"b": height * draw(st.floats(1.001, 20.0)), "zeta": zeta})
     assume(validate_fundamental_data(data.b, data.zeta).valid)
     return data

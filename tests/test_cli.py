@@ -317,14 +317,47 @@ def test_verify_tolerance_override_can_fail(capsys):
     ["family", "--pattern-scaling", "--t-values", "0,abc"],
     ["family", "--pattern-scaling", "--t-values", ",0.5"],
     ["verify", "--all", "--tol", "isometry=abc"],
+    ["verify", "--all", "--tol", "isometry=nan"],
+    ["verify", "--all", "--tol", "isometry=inf"],
+    ["verify", "--all", "--tol", "isometry=-inf"],
+    ["verify", "--all", "--tol", "isometry=-1"],
     ["validate", "--samples", "0"],
-], ids=["t-values-word", "t-values-empty", "tol-word", "samples-0"])
+], ids=["t-values-word", "t-values-empty", "tol-word", "tol-nan", "tol-inf",
+        "tol-minus-inf", "tol-negative", "samples-0"])
 def test_malformed_numeric_input_exits_2(argv, capsys):
     # a usage error, not exit 1, which means a failed check
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "--tol" in argv and "abc" not in argv[-1]:
+        assert "must be finite and >= 0" in err
+
+
+# each subcommand with --out, and the first artifact it writes there
+UNUSABLE_OUT = [
+    (["build"], "box.obj"),
+    (["develop"], "pattern.svg"),
+    (["deform", "--t", "0.5"], "deformed_t0p5.obj"),
+    (["family", "--pattern-scaling", "--t-values", "0"], "family_t0.obj"),
+    (["verify", "--all"], "verify.json"),
+]
+
+
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "artifact-is-a-dir"])
+@pytest.mark.parametrize("argv, artifact", UNUSABLE_OUT,
+                         ids=[argv[0] for argv, _ in UNUSABLE_OUT])
+def test_unusable_out_exits_2(argv, artifact, blocked, capsys, tmp_path):
+    out = tmp_path / "out"
+    if blocked == "out-is-a-file":
+        out.write_text("")
+    else:
+        (out / artifact).mkdir(parents=True)
+    rc, payload, err = run_cli(capsys, *argv, "--grid", "8x4",
+                               "--out", str(out))
+    assert rc == 2 and payload is None
+    assert json.loads(err)["error"] == "IoError"
 
 
 # flags that their subcommand used to accept and ignore

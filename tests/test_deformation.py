@@ -8,10 +8,12 @@ from pillowfold.curves import ProfileCrease
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     admissibility_margin, assemble_deformed,
                                     assemble_pattern_scaled, deformed_quarter,
-                                    depth_coefficient, horizontal_end_depth,
+                                    depth_coefficient, grid_columns,
+                                    horizontal_end_depth,
                                     pattern_scaling_family, validate_schedule)
 from pillowfold.development import PlanarDevelopment, pattern_graph
-from pillowfold.errors import DomainError, IoError, ScheduleViolation
+from pillowfold.errors import (DomainError, GridTooCoarse, IoError,
+                               OutOfDomain, ScheduleViolation)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import (FundamentalData, ProfileFunction,
                                  graph_to_arclength_profile)
@@ -120,6 +122,43 @@ def test_deformed_quarter_structure():
     # rulings are unit vectors
     assert abs(np.linalg.norm(q.xi_upper) - 1.0) < 1e-15
     assert abs(np.linalg.norm(q.xi_lower) - 1.0) < 1e-15
+
+
+def _check_v_domain(quarter_map, s, top, b, tol, slack=0.0):
+    """quarter_map takes v up to slack + 0.5 tol past either end of
+    [top - b, top] and raises OutOfDomain at slack + 2 tol past, at any one
+    abscissa."""
+    for bound, out in ((top, 1.0), (top - b, -1.0)):
+        quarter_map(s, bound + out * (slack + 0.5 * tol))
+        for j in (0, s.size // 2):
+            v = bound.copy()
+            v[j] += out * (slack + 2.0 * tol)
+            with pytest.raises(OutOfDomain):
+                quarter_map(s, v)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5])
+def test_quarter_v_domain_threshold(c):
+    # v lies in [c zeta - b, c zeta] up to tol = 1e-9 max(L, b); a stencil
+    # sampler adds its slack
+    data = FundamentalData.demo()
+    tol = 1e-9 * max(data.length, data.b)
+    s = np.linspace(0.0, data.length, 9)
+    top = c * data.zeta.eval(s, 0)
+    quarter = DeformedQuarter(data, 1.0, scale=c)
+    _check_v_domain(quarter.X, s, top, data.b, tol)
+    for side in ("upper", "lower"):
+        _check_v_domain(quarter.sampler(side, 1e-3), s, top, data.b, tol,
+                        slack=1e-3)
+    if c == 1.0:
+        _check_v_domain(PlanarDevelopment(data).Y, s, top, data.b, tol)
+
+
+def test_grid_columns_spacing_and_floor():
+    assert np.array_equal(grid_columns(2.0, 4), np.linspace(0.0, 2.0, 5))
+    for n_s in (1, 0, -3):
+        with pytest.raises(GridTooCoarse):
+            grid_columns(2.0, n_s)
 
 
 def test_deformation_endpoints_reproduce_box_and_development():

@@ -95,7 +95,8 @@ def test_coarse_quarter_triangle_counts():
     flat = FundamentalData(1.0, ProfileFunction.polynomial([0.3], 2.0))
     assert quarter_mesh(flat, 2, 2).n_faces == 8
     with pytest.raises(GridTooCoarse):
-        assemble_reflected(QuarterParametrization(demo).X, demo, 1, 2)
+        assemble_reflected(QuarterParametrization(demo).X,
+                           np.linspace(0.0, demo.length, 2), demo.b, 2)
 
 
 def test_quarter_mesh_contains_exact_crease_samples():
