@@ -39,11 +39,11 @@ def _read_data(path: str | None) -> FundamentalData:
 
 def _load_data(path: str | None) -> FundamentalData:
     """Fundamental data that validate accepts; DomainError (exit 2) naming
-    the first failed gating entry otherwise."""
+    the first failed entry otherwise."""
     data = _read_data(path)
     report = validate_fundamental_data(data.b, data.zeta)
     if not report.valid:
-        e = next(e for e in report.entries if e["gating"] and not e["passed"])
+        e = next(e for e in report.entries if not e["passed"])
         raise DomainError(f"invalid fundamental data: {e['name']} fails, "
                           f"margin {e['margin']:g} at s = {e['worst_s']:g}")
     return data
@@ -133,8 +133,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_develop(args) -> int:
     data = _load_data(args.input)
-    reports, dev, psi, rect = verify.development_checks(
-        data, *args.grid, verify.TOLERANCES["image"])
+    reports, dev, psi, rect = verify.development_checks(data, *args.grid)
     artifacts = []
     svg_path = _artifact(args.out, "pattern.svg")
     if svg_path:

@@ -36,15 +36,14 @@ XI_LOWER = np.array([0.0, -1.0, 0.0])
 class DeformationSchedule:
     """Fold parameter lam(t) and drift mu(t) over t in [0, 1]."""
 
-    def __init__(self, lam, mu=None, kind: str = "custom", params: dict | None = None):
+    def __init__(self, lam, mu=None):
         self._lam = lam
         self._mu = mu if mu is not None else (lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-        self.kind = kind
-        self.params = dict(params or {})
 
     def _check_t(self, t):
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < -_T_TOL) or np.any(arr > 1.0 + _T_TOL):
+        # NaN fails both comparisons, so it is refused with the rest
+        if not np.all((arr >= -_T_TOL) & (arr <= 1.0 + _T_TOL)):
             raise DomainError("t must lie in [0, 1]")
         return np.clip(arr, 0.0, 1.0)
 
@@ -58,12 +57,11 @@ class DeformationSchedule:
 
     @classmethod
     def linear(cls) -> "DeformationSchedule":
-        return cls(lambda t: 1.0 - np.asarray(t, dtype=float), kind="linear")
+        return cls(lambda t: 1.0 - np.asarray(t, dtype=float))
 
     @classmethod
     def cosine(cls) -> "DeformationSchedule":
-        return cls(lambda t: np.cos(0.5 * np.pi * np.asarray(t, dtype=float)),
-                   kind="cosine")
+        return cls(lambda t: np.cos(0.5 * np.pi * np.asarray(t, dtype=float)))
 
     @classmethod
     def from_table(cls, t_knots, lam_values, mu_values=None) -> "DeformationSchedule":
@@ -80,11 +78,8 @@ class DeformationSchedule:
             raise DomainError("table lam and mu need one value per t value")
         if np.any(np.diff(t_knots) <= 0):
             raise DomainError("table t values must be strictly increasing")
-        params = {"t": t_knots.tolist(), "lam": lam_values.tolist(),
-                  "mu": mu_values.tolist()}
         return cls(lambda t: np.interp(t, t_knots, lam_values),
-                   lambda t: np.interp(t, t_knots, mu_values),
-                   kind="table", params=params)
+                   lambda t: np.interp(t, t_knots, mu_values))
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "DeformationSchedule":
@@ -101,11 +96,6 @@ class DeformationSchedule:
                 raise IoError(f"table schedule lacks {', '.join(missing)}")
             return cls.from_table(desc["t"], desc["lam"], desc.get("mu"))
         raise IoError(f"unknown schedule kind {kind!r}")
-
-    def descriptor(self) -> dict:
-        if self.kind == "custom":
-            raise IoError("custom schedules do not serialize")
-        return {"kind": self.kind, **self.params}
 
 
 @dataclass

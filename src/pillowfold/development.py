@@ -69,9 +69,9 @@ def validate_pattern_conditions(f: ProfileFunction,
         raise NonGraph(
             "pattern samples do not form a single-valued graph") from exc
 
-    def entry(name, margin, worst_x, gating=True):
+    def entry(name, margin, worst_x):
         return {"name": name, "passed": bool(margin > 0), "margin": float(margin),
-                "worst_s": float(worst_x), "gating": gating}
+                "worst_s": float(worst_x), "gating": True}
 
     entries = [
         entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),
@@ -81,7 +81,7 @@ def validate_pattern_conditions(f: ProfileFunction,
         entry("interior-positive", np.min(p0), x[np.argmin(p0)]),
         entry("below-b", b - np.max(p0), x[np.argmax(p0)]),
     ]
-    valid = all(e["passed"] for e in entries if e["gating"])
+    valid = all(e["passed"] for e in entries)
     return ValidationReport(entries, valid, n)
 
 

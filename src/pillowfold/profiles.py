@@ -192,7 +192,6 @@ class FundamentalData:
     def __post_init__(self):
         if not np.isfinite(self.b) or self.b <= 0:
             raise DomainError(f"b must be positive, got {self.b}")
-        self._half_width = None
 
     @property
     def length(self) -> float:
@@ -200,13 +199,11 @@ class FundamentalData:
 
     def half_width(self) -> float:
         """Half the developed width, int_0^L sqrt(1 - zeta'^2)/2 ds."""
-        if self._half_width is None:
-            def speed(s):
-                return safe_sqrt(1.0 - self.zeta.eval(s, 1) ** 2)
-            total = integrate_segments(speed, np.array([0.0]),
-                                       np.array([self.length]), _WIDTH_TOL)[0]
-            self._half_width = 0.5 * float(total)
-        return self._half_width
+        def speed(s):
+            return safe_sqrt(1.0 - self.zeta.eval(s, 1) ** 2)
+        total = integrate_segments(speed, np.array([0.0]),
+                                   np.array([self.length]), _WIDTH_TOL)[0]
+        return 0.5 * float(total)
 
     def max_height(self) -> float:
         s = np.linspace(0.0, self.length, _HEIGHT_SAMPLES)
@@ -229,7 +226,7 @@ class FundamentalData:
 
 @dataclass
 class ValidationReport:
-    """Per-condition results; valid means every gating entry passed."""
+    """Per-condition results; valid means every entry passed."""
 
     entries: list
     valid: bool

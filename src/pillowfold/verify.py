@@ -27,7 +27,6 @@ TOLERANCES = {
     "flatness": 1e-5,
     "planarity": 1e-8,
     "depth": 1e-8,
-    "image": 1e-6,
 }
 
 
@@ -203,16 +202,6 @@ def topology_report(mesh: TriMesh, count_intersections: bool = True) -> Topology
 # batteries
 # ---------------------------------------------------------------------------
 
-def _strip_grid(data: FundamentalData, n_s: int, n_half: int, side: str,
-                eps: float):
-    """Interior (s, v) grid for one strip; v stays clear of crease and rim."""
-    s = folding.interior_grid(data.length, n_s, eps)
-    frac = np.linspace(0.08, 0.92, n_half)
-    z0 = np.asarray(data.zeta.eval(s, 0))
-    rim = z0 if side == "upper" else -(data.b - z0)
-    return s, rim[:, None] * frac
-
-
 def _metric_reference(data: FundamentalData):
     def reference(smat, vmat):
         z1 = np.asarray(data.zeta.eval(smat, 1))
@@ -220,37 +209,16 @@ def _metric_reference(data: FundamentalData):
     return reference
 
 
-def _stencil_checks(check, name, data, quarters, n_s, n_half, eps,
-                    h_s, h_v, tol, **extra):
-    """One report "{name} t={t} {side}" per state and strip, in that order.
-
-    quarters maps each t to its DeformedQuarter.  check is check_isometry
-    (with its reference in extra) or check_flatness; its stencil of steps
-    h_s, h_v samples each strip through that strip's own smooth extension,
-    with room to straddle the curved boundary."""
+def _structure_checks(data, quarters, s, z0, tols):
+    """Crease height/planarity, end confinement, ruling norms on the
+    interior grid s, whose heights are z0."""
     reports = []
-    slack = 2.0 * (h_s + h_v)
-    for t, quarter in quarters.items():
-        for side in ("upper", "lower"):
-            s, v = _strip_grid(data, n_s, n_half, side, eps)
-            reports.append(check(
-                quarter.sampler(side, slack), s_values=s, v_values=v,
-                h_s=h_s, h_v=h_v, threshold=tol,
-                label=f"{name} t={t:g} {side}", **extra))
-    return reports
-
-
-def _structure_checks(data, quarters, n_s, eps, tols):
-    """Crease height/planarity, end confinement, ruling norms."""
-    reports = []
-    s = folding.interior_grid(data.length, n_s, eps)
-    z0 = np.asarray(data.zeta.eval(s, 0))
     for t, quarter in quarters.items():
         c = quarter.crease.point(s)
-        worst_y = float(np.max(np.abs(c[:, 1] - z0)))
+        gap_y = np.abs(c[:, 1] - z0)
         reports.append(CheckReport.bounded(
-            f"crease-height t={t:g}", f"{s.size}", worst_y,
-            (float(s[np.argmax(np.abs(c[:, 1] - z0))]), 0.0), 1e-9))
+            f"crease-height t={t:g}", f"{s.size}", float(np.max(gap_y)),
+            (float(s[np.argmax(gap_y)]), 0.0), 1e-9))
         plan = check_crease_planarity(c)
         gap = abs(plan.lambda_estimate - quarter.lam)
         reports.append(CheckReport.bounded(
@@ -288,8 +256,7 @@ def box_checks(data: FundamentalData, n_s: int, n_v: int):
     return reports, topo, box
 
 
-def development_checks(data: FundamentalData, n_s: int, n_v: int,
-                       tol_image: float):
+def development_checks(data: FundamentalData, n_s: int, n_v: int):
     """Checks on the flat state; returns (reports, development, pattern
     graph, double rectangle).  Grids below 2x2 raise GridTooCoarse, as
     mesh.assemble_reflected's do."""
@@ -307,8 +274,7 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int,
     worst = max(abs(lo[0]), abs(lo[1]), abs(hi[0] - two_a), abs(hi[1] - data.b),
                 abs(lo[2]), abs(hi[2]))
     reports.append(CheckReport.bounded(
-        "development-image", f"{n_s}x{n_v}", float(worst), (0.0, 0.0),
-        tol_image))
+        "development-image", f"{n_s}x{n_v}", float(worst), (0.0, 0.0), 1e-6))
     rect = development.double_rectangle_mesh(two_a, 2.0 * data.b,
                                              max(n_s // 2, 2))
     topo = topology_report(rect)
@@ -320,19 +286,18 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int,
     pat = development.validate_pattern_conditions(psi, data.b)
     reports.append(CheckReport(
         "pattern-conditions", f"{pat.n_samples}",
-        float(min(e["margin"] for e in pat.entries if e["gating"])),
+        float(min(e["margin"] for e in pat.entries)),
         (0.0, 0.0), 0.0, pat.valid))
     return reports, dev, psi, rect
 
 
-def _dichotomy_check(data, n_s, eps):
+def _dichotomy_check(data, s):
     strip = pillowbox.QuarterParametrization(data).upper_strip
-    s = folding.interior_grid(data.length, n_s, eps)
     v = np.full_like(s, 0.1 * data.b)
     base = folding.first_fundamental_form(strip, s, v)
     dual = folding.first_fundamental_form(strip.dual(), s, v)
     gap = float(max(np.max(np.abs(b - d)) for b, d in zip(base, dual)))
-    return CheckReport.bounded("dual-metric-agreement", f"{n_s}", gap,
+    return CheckReport.bounded("dual-metric-agreement", f"{s.size}", gap,
                                (0.0, 0.0), 1e-8)
 
 
@@ -382,23 +347,29 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
         raise DomainError(f"endpoint guard {eps:g} lets the stencil step "
                           f"{h_s:g} leave [0, {L:g}]; it must be at least "
                           f"{h_s / L:g}")
-
-    def at(*t_values):
-        return {t: quarters[t] for t in t_values}
-    reports = []
-    reports += _stencil_checks(check_isometry, "isometry", data,
-                               at(0.0, 0.25, 0.5, 0.75, 1.0), n_s, n_half, eps,
-                               *h_iso, tols["isometry"],
-                               reference=_metric_reference(data))
-    reports += _stencil_checks(check_flatness, "flatness", data,
-                               at(0.0, 0.5, 1.0), n_s, n_half, eps,
-                               *h_flat, tols["flatness"])
-    reports += _structure_checks(data, at(0.0, 0.3, 0.7, 1.0),
-                                 n_s, eps, tols)
+    # The one grid of every check: the heights z0 over s, and per strip a v
+    # grid clear of crease and rim.
+    z0 = np.asarray(data.zeta.eval(s, 0))
+    frac = np.linspace(0.08, 0.92, n_half)
+    strips = {"upper": z0[:, None] * frac,
+              "lower": -(data.b - z0)[:, None] * frac}
+    # A stencil of steps (h_s, h_v) samples each strip through that strip's
+    # own smooth extension, with room to straddle the curved boundary.
+    reference = _metric_reference(data)
+    reports = [check_isometry(
+        quarters[t].sampler(side, 2.0 * (h_iso[0] + h_iso[1])), reference,
+        s, v, *h_iso, tols["isometry"], f"isometry t={t:g} {side}")
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0) for side, v in strips.items()]
+    reports += [check_flatness(
+        quarters[t].sampler(side, 2.0 * (h_flat[0] + h_flat[1])),
+        s, v, *h_flat, tols["flatness"], f"flatness t={t:g} {side}")
+        for t in (0.0, 0.5, 1.0) for side, v in strips.items()]
+    reports += _structure_checks(
+        data, {t: quarters[t] for t in (0.0, 0.3, 0.7, 1.0)}, s, z0, tols)
     reports += box_checks(data, n_s, n_v)[0]
-    reports += development_checks(data, n_s, n_v, tols["image"])[0]
+    reports += development_checks(data, n_s, n_v)[0]
     reports += _obstruction_checks(data, schedule, n_s, n_v, tols)
-    reports.append(_dichotomy_check(data, n_s, eps))
+    reports.append(_dichotomy_check(data, s))
     return reports
 
 

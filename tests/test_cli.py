@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from pillowfold.verify import TOLERANCES, certify
 
 import oracles as oc
 from strategies import admissible_data
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
 # end slope 0.7075 > 1/sqrt2: the folded crease cannot be travelled
 STEEP_ARCH = {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
@@ -175,9 +178,11 @@ def test_deform_flag_validation():
 
 
 def test_deform_out_of_range_t_exits_2(capsys):
-    rc, _, err = run_cli(capsys, "deform", "--t", "1.5")
-    assert rc == 2
-    assert json.loads(err)["error"] == "DomainError"
+    for t in ("1.5", "-0.5", "nan"):
+        rc, _, err = run_cli(capsys, "deform", "--t", t, "--grid", "8x4")
+        assert rc == 2
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "t must lie in [0, 1]"}, t
 
 
 def test_deform_custom_schedule_file(capsys, tmp_path):
@@ -288,6 +293,35 @@ def test_certify_is_what_verify_all_prints(box, capsys, tmp_path):
     assert [r.to_dict() for r in reports] == payload["checks"]
 
 
+def test_verify_all_schedule_error_names_the_first_state(capsys, tmp_path):
+    # lam(0.25) = 1.5: the quarter of the first isometry state past t = 0
+    # cannot be travelled, and no check may have run before it is refused
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"kind": "table", "t": [0, 0.25, 1],
+                                 "lam": [1, 1.5, 0]}))
+    rc, payload, err = run_cli(capsys, "verify", "--all", "--schedule",
+                               str(sched), "--out", str(tmp_path / "out"))
+    assert rc == 2 and payload is None
+    err = json.loads(err)
+    assert err["error"] == "ScheduleViolation"
+    assert err["message"].startswith("fold parameter 1.5 ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_all_check_order_is_the_golden_order(capsys, tmp_path):
+    # the check names and their order depend on neither box nor schedule
+    golden = json.loads((GOLDEN / "verify.json").read_text())
+    path = tmp_path / "circular.json"
+    path.write_text(json.dumps(
+        {"b": 0.6, "zeta": {"kind": "circular", "length": 2.0, "radius": 2.0}}))
+    rc, payload, _ = run_cli(capsys, "verify", "--all", "--input", str(path),
+                             "--schedule", "cosine")
+    assert rc == 0
+    names = [c["check"] for c in payload["checks"]]
+    assert len(names) == 49
+    assert names == [c["check"] for c in golden]
+
+
 @pytest.mark.parametrize("eps", ["0.5", "0.6", "-1", "nan", "9e-5", "1e-12"])
 def test_verify_endpoint_guard_outside_the_open_half_exits_2(eps, capsys,
                                                              tmp_path):
@@ -384,9 +418,13 @@ def test_removed_flag_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unknown_tolerance_name_rejected():
-    with pytest.raises(SystemExit):
-        main(["verify", "--all", "--tol", "bogus=1"])
+def test_unknown_tolerance_name_rejected(capsys):
+    # development-image reads 0.0 by construction, so its threshold is fixed
+    for name in ("bogus", "image"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--tol", f"{name}=1"])
+        assert exc.value.code == 2
+        assert f"unknown tolerance {name!r}" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
