@@ -225,12 +225,6 @@ class DeformedQuarter:
             return base + v_arr[..., None] * xi
         return strip
 
-    def vertical_end(self, s) -> np.ndarray:
-        return self.X(s, self.crease.point(s)[..., 1] - self.data.b)
-
-    def horizontal_end(self, s) -> np.ndarray:
-        return self.X(s, self.crease.point(s)[..., 1])
-
 
 def deformed_quarter(data: FundamentalData, schedule: DeformationSchedule,
                      t: float) -> DeformedQuarter:
@@ -256,16 +250,15 @@ def horizontal_end_depth(data: FundamentalData, lam: float) -> float:
     return float(np.min(coeff * z0))
 
 
-def assemble_deformed(data: FundamentalData, schedule: DeformationSchedule,
-                      t: float, n_s: int, n_v: int) -> TriMesh:
-    """Mesh of all four reflected quarters at parameter t.
+def assemble_deformed(quarter: DeformedQuarter, n_s: int, n_v: int) -> TriMesh:
+    """Mesh of all four reflected copies of the quarter.
 
     The horizontal-end correspondence is welded only when it actually lies in
     the plane z = 0; in between the mesh is reported open, never an error.
     """
-    quarter = deformed_quarter(data, schedule, t)
-    return assemble_reflected(quarter.X, grid_columns(data.length, n_s),
-                              data.b, n_v, require_horizontal_weld=False)
+    return assemble_reflected(quarter.X, grid_columns(quarter.length, n_s),
+                              quarter.data.b, n_v,
+                              require_horizontal_weld=False)
 
 
 def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:

@@ -379,12 +379,12 @@ def self_intersection_pairs(mesh: TriMesh) -> list:
     distance of a corner at the same z (+0.0 equals -0.0) is then +-0, so
     the narrow phase calls two such faces at one z coplanar and rejects them
     (and where a product overflows, the NaN it makes rejects them too).  The
-    rule drops these pairs before the narrow phase, which changes no hit; it
-    is where the flat state's candidates go, as all its faces lie in z = 0.
+    rule drops these pairs before the narrow phase, which changes no hit; where
+    every corner has one z, as in the flat state, it skips the broad phase.
     """
-    if mesh.n_faces < 2:
-        return []
     P = mesh.corners()                     # (F, 3, 3)
+    if mesh.n_faces < 2 or np.all(P[:, :, 2] == P[0, 0, 2]):
+        return []
     p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
     lo = np.minimum(np.minimum(p0, p1), p2)
     hi = np.maximum(np.maximum(p0, p1), p2)
@@ -443,8 +443,8 @@ def _interval_on_line(T: np.ndarray, d: np.ndarray, thresh: np.ndarray,
 def _tri_tri_batch(P: np.ndarray, normal: np.ndarray, length: np.ndarray,
                    i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
     """True where faces i and j (corners P, normals and their lengths as
-    TriMesh.face_normals gives them) intersect transversally with
-    crossing-segment overlap longer than eps.
+    TriMesh.face_normals gives them) meet along a segment longer than eps,
+    crossing or touching along an edge: two faces hinged on one edge hit.
 
     Staged: face j's corners against face i's plane, then face i's against
     face j's on the pairs left, then the intersection line and the two

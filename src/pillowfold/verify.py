@@ -224,7 +224,7 @@ def _structure_checks(data, quarters, s, z0, tols):
         reports.append(CheckReport.bounded(
             f"crease-plane t={t:g}", f"{s.size}", gap, (quarter.lam, 0.0),
             tols["planarity"]))
-        vert = quarter.vertical_end(s)
+        vert = quarter.X(s, c[:, 1] - data.b)
         worst_b = float(np.max(np.abs(vert[:, 1] - data.b)))
         reports.append(CheckReport.bounded(
             f"vertical-end t={t:g}", f"{s.size}", worst_b, (0.0, 0.0), 1e-9))
@@ -301,11 +301,11 @@ def _dichotomy_check(data, s):
                                (0.0, 0.0), 1e-8)
 
 
-def _obstruction_checks(data, schedule, n_s, n_v, tols):
+def _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols):
     reports = []
     zmax = data.max_height()
     for t in (0.25, 0.5, 0.75):
-        lam = schedule.lam(t)
+        lam = quarters[t].lam
         depth = deformation.horizontal_end_depth(data, lam)
         predicted = deformation.depth_coefficient(lam) * zmax
         gap = abs(depth - predicted)
@@ -313,8 +313,13 @@ def _obstruction_checks(data, schedule, n_s, n_v, tols):
             f"depth-formula t={t:g}", "4001", gap, (depth, predicted),
             tols["depth"]))
     for t, want_closed in ((0.0, True), (0.5, False), (1.0, True)):
-        m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
-        topo = topology_report(m)
+        q = quarters[t]
+        if t == 0.0 and (q.lam, q.mu) == (1.0, 0.0):
+            # The box is this quarter's mesh with the horizontal weld
+            # required, so if box_checks returned, the mesh is the same.
+            topo = box_topo
+        else:
+            topo = topology_report(deformation.assemble_deformed(q, n_s, n_v))
         if want_closed:
             ok = topo.closed and topo.euler == 2 and topo.intersections == 0
         else:
@@ -366,9 +371,10 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
         for t in (0.0, 0.5, 1.0) for side, v in strips.items()]
     reports += _structure_checks(
         data, {t: quarters[t] for t in (0.0, 0.3, 0.7, 1.0)}, s, z0, tols)
-    reports += box_checks(data, n_s, n_v)[0]
+    box_reports, box_topo, _ = box_checks(data, n_s, n_v)
+    reports += box_reports
     reports += development_checks(data, n_s, n_v)[0]
-    reports += _obstruction_checks(data, schedule, n_s, n_v, tols)
+    reports += _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols)
     reports.append(_dichotomy_check(data, s))
     return reports
 
@@ -400,11 +406,11 @@ def state_report(data: FundamentalData, schedule, t: float, n_s: int,
     report, topology (with intersections) and the schedule's validity, as
     `deform --t` reports them, and its mesh."""
     sched_report = deformation.validate_schedule(data, schedule)
-    lam = schedule.lam(t)
-    m = deformation.assemble_deformed(data, schedule, t, n_s, n_v)
+    q = deformation.deformed_quarter(data, schedule, t)
+    m = deformation.assemble_deformed(q, n_s, n_v)
     topo = topology_report(m)
-    return {"t": t, "lam": lam, "mu": schedule.mu(t),
-            "depth": deformation.horizontal_end_depth(data, lam),
+    return {"t": t, "lam": q.lam, "mu": q.mu,
+            "depth": deformation.horizontal_end_depth(data, q.lam),
             "weld": m.weld_report, "topology": topo.to_dict(),
             "schedule": sched_report.to_dict()}, m
 
@@ -414,13 +420,11 @@ def sweep_trace(data: FundamentalData, schedule, t_values, n_s: int,
     """One summary row per t: fold state, closure depth, mesh topology."""
     rows = []
     for t in np.asarray(t_values, dtype=float):
-        lam = schedule.lam(float(t))
-        topo = topology_report(
-            deformation.assemble_deformed(data, schedule, float(t), n_s, n_v),
-            count_intersections=False)
-        rows.append({"t": float(t), "lam": float(lam),
-                     "mu": float(schedule.mu(float(t))),
-                     "depth": deformation.horizontal_end_depth(data, lam),
+        q = deformation.deformed_quarter(data, schedule, float(t))
+        topo = topology_report(deformation.assemble_deformed(q, n_s, n_v),
+                               count_intersections=False)
+        rows.append({"t": float(t), "lam": q.lam, "mu": q.mu,
+                     "depth": deformation.horizontal_end_depth(data, q.lam),
                      "closed": topo.closed,
                      "boundary_edges": topo.boundary_edges,
                      "euler": topo.euler, "volume": topo.volume,

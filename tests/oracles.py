@@ -18,7 +18,10 @@ Simpson with one integrand call per point array, against which the library's
 one-call-per-sweep version must agree to the bit; and the measured metric,
 centred differences of a library strip's embedding.  Helix is the one
 twisted crease the Frenet kernel is tested on, in closed form, and load_obj
-reads the library's OBJ output back.
+reads the library's OBJ output back.  nested_pattern_scaling builds a
+pattern-scaling member the long way, through the library's pattern graph
+and two nested monotone maps; vertical_end and horizontal_end read a
+library quarter map on its two rims.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from pillowfold.curves import SpaceCurve
+from pillowfold.development import pattern_graph
 from pillowfold.errors import QuadratureFailure
 from pillowfold.mesh import _DEDUPE_FACTOR, _WELD_TOL_FACTOR, TriMesh
+from pillowfold.profiles import (FundamentalData, ProfileFunction,
+                                 graph_to_arclength_profile)
 from pillowfold.quadrature import (_WIDTH_FLOOR_FACTOR, MAX_PANELS,
                                    _ensure_finite)
 
@@ -183,6 +189,17 @@ def pattern_member_crease(data, t: float, u) -> np.ndarray:
     return np.stack([np.asarray(x), height, height], axis=-1)
 
 
+def nested_pattern_scaling(data, t):
+    """The member as the pattern graph scaled by 1 - t and converted back to
+    arc length: two nested monotone maps per evaluation."""
+    psi = pattern_graph(data)
+    scaled = psi if t == 0.0 else ProfileFunction(
+        psi.length, "scaled",
+        lambda x, order: (1.0 - t) * np.asarray(psi.eval(x, order)))
+    return FundamentalData(
+        data.b, graph_to_arclength_profile(scaled, "plane-crease")[1])
+
+
 def central_diff(fn, x, h: float):
     x = np.asarray(x, dtype=float)
     return (np.asarray(fn(x + h)) - np.asarray(fn(x - h))) / (2.0 * h)
@@ -246,6 +263,16 @@ def measured_metric(strip, s, v) -> tuple:
     return (np.einsum('...j,...j->...', Xs, Xs),
             np.einsum('...j,...j->...', Xs, Xv),
             np.einsum('...j,...j->...', Xv, Xv))
+
+
+def vertical_end(quarter, s) -> np.ndarray:
+    """A quarter's rim v = crease height - b, which lies in the plane y = b."""
+    return quarter.X(s, quarter.crease.point(s)[..., 1] - quarter.data.b)
+
+
+def horizontal_end(quarter, s) -> np.ndarray:
+    """A quarter's rim v = crease height, which the depth formula measures."""
+    return quarter.X(s, quarter.crease.point(s)[..., 1])
 
 
 def load_obj(path) -> TriMesh:

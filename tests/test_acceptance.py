@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
-                                    assemble_deformed, horizontal_end_depth,
+                                    assemble_deformed, deformed_quarter,
+                                    horizontal_end_depth,
                                     pattern_scaling_family)
 from pillowfold.development import PlanarDevelopment, double_rectangle_mesh
 from pillowfold.folding import (DevelopableStrip, first_fundamental_form,
@@ -118,7 +119,7 @@ def test_criterion_4_structural_confinement():
         ends = q.crease.point(np.array([0.0, 2.0]))
         worst_end = max(worst_end, float(np.max(np.abs(ends[:, 1:]))))
         worst_b = max(worst_b,
-                      float(np.max(np.abs(q.vertical_end(s)[:, 1] - 1.0))))
+                      float(np.max(np.abs(oc.vertical_end(q, s)[:, 1] - 1.0))))
         worst_xi = max(worst_xi,
                        abs(float(np.linalg.norm(q.xi_upper)) - 1.0),
                        abs(float(np.linalg.norm(q.xi_lower)) - 1.0))
@@ -143,7 +144,8 @@ def test_criterion_5_depth_and_topology():
     topo_ok = True
     states = []
     for t in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        topo = topology_report(assemble_deformed(DATA, SCHEDULE, t, 48, 24))
+        topo = topology_report(
+            assemble_deformed(deformed_quarter(DATA, SCHEDULE, t), 48, 24))
         if t in (0.0, 1.0):
             good = topo.closed and topo.euler == 2 and topo.intersections == 0
         else:

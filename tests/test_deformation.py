@@ -11,12 +11,11 @@ from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     depth_coefficient, grid_columns,
                                     horizontal_end_depth,
                                     pattern_scaling_family, validate_schedule)
-from pillowfold.development import PlanarDevelopment, pattern_graph
+from pillowfold.development import PlanarDevelopment
 from pillowfold.errors import (DomainError, GridTooCoarse, IoError,
                                OutOfDomain, ScheduleViolation)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
-from pillowfold.profiles import (FundamentalData, ProfileFunction,
-                                 graph_to_arclength_profile)
+from pillowfold.profiles import FundamentalData, ProfileFunction
 from pillowfold.verify import family_members, sweep_trace, topology_report
 
 import oracles as oc
@@ -115,8 +114,8 @@ def test_deformed_quarter_structure():
     assert np.max(np.abs(c[:, 1] - z0)) < 1e-12
     assert np.max(np.abs(c[:, 2] - 0.5 * c[:, 1])) < 1e-12
     # vertical end pinned to y = b, horizontal end reaching the depth formula
-    assert np.max(np.abs(q.vertical_end(s)[:, 1] - data.b)) < 1e-12
-    horiz = q.horizontal_end(s)
+    assert np.max(np.abs(oc.vertical_end(q, s)[:, 1] - data.b)) < 1e-12
+    horiz = oc.horizontal_end(q, s)
     assert abs(float(np.min(horiz[:, 2])) - oc.DEPTH_HALF) < 1e-9
     # rulings are unit vectors
     assert abs(np.linalg.norm(q.xi_upper) - 1.0) < 1e-15
@@ -196,15 +195,16 @@ def test_obstruction_witness_depth_band():
 def test_assembled_deformation_topology():
     data = FundamentalData.demo()
     schedule = DeformationSchedule.linear()
-    closed = assemble_deformed(data, schedule, 0.0, 16, 8)
+    closed = assemble_deformed(deformed_quarter(data, schedule, 0.0), 16, 8)
     assert closed.is_closed()
-    mid = assemble_deformed(data, schedule, 0.5, 16, 8)
+    mid = assemble_deformed(deformed_quarter(data, schedule, 0.5), 16, 8)
     assert not mid.is_closed()
     assert mid.weld_report["horizontal_end"] == "open"
     assert mid.boundary_edge_count() > 0
     assert not topology_report(mid, count_intersections=False).volume_valid
-    flat = topology_report(assemble_deformed(data, schedule, 1.0, 16, 8),
-                           count_intersections=False)
+    flat = topology_report(
+        assemble_deformed(deformed_quarter(data, schedule, 1.0), 16, 8),
+        count_intersections=False)
     assert flat.closed and flat.volume_valid
     assert abs(flat.volume) < 1e-14
 
@@ -218,7 +218,8 @@ def test_horizontal_end_weld_threshold():
     zeta_max = float(np.max(data.zeta.eval(np.linspace(0.0, 2.0, 49), 0)))
 
     def weld(t):
-        report = assemble_deformed(data, schedule, t, 48, 24).weld_report
+        report = assemble_deformed(deformed_quarter(data, schedule, t),
+                                   48, 24).weld_report
         want = 2.0 * abs(depth_coefficient(schedule.lam(t))) * zeta_max
         # near lam = 1 the end's z is the difference of two terms ~zeta that
         # cancel to ~t zeta, so it keeps about 1e-16 / t of relative accuracy
@@ -279,22 +280,11 @@ def test_pattern_scaling_volumes_decrease_continuously():
     assert vols[-1] < 0.15 * vols[0]
 
 
-def _nested_pattern_scaling(data, t):
-    """The member as the pattern graph scaled by 1 - t and converted back to
-    arc length: two nested monotone maps per evaluation."""
-    psi = pattern_graph(data)
-    scaled = psi if t == 0.0 else ProfileFunction(
-        psi.length, "scaled",
-        lambda x, order: (1.0 - t) * np.asarray(psi.eval(x, order)))
-    return FundamentalData(
-        data.b, graph_to_arclength_profile(scaled, "plane-crease")[1])
-
-
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(admissible_data(), st.floats(0.0, 0.95))
 def test_pattern_scaling_matches_nested_maps(data, t):
     member = pattern_scaling_family(data, t)
-    nested = _nested_pattern_scaling(data, t)
+    nested = oc.nested_pattern_scaling(data, t)
     assert abs(member.length - nested.length) < 1e-12
     s = np.linspace(0.0, member.length, 33)
     for order in (0, 1, 2):
@@ -413,6 +403,6 @@ def test_sweep_trace_rows():
         assert row["volume_valid"] == (not interior)
         want_depth = horizontal_end_depth(data, row["lam"])
         assert abs(row["depth"] - want_depth) < 1e-12
-    assert abs(rows[0]["volume"]
-               - assemble_deformed(data, schedule, 0.0, 12, 6).signed_volume()) < 1e-12
+    closed = assemble_deformed(deformed_quarter(data, schedule, 0.0), 12, 6)
+    assert abs(rows[0]["volume"] - closed.signed_volume()) < 1e-12
     assert abs(rows[-1]["volume"]) < 1e-14

@@ -187,8 +187,8 @@ def test_self_intersection_pairs_past_a_power_of_two():
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 def test_self_intersection_pairs_of_deformed_demo(t):
-    mesh = assemble_deformed(FundamentalData.demo(),
-                             DeformationSchedule.linear(), t, 8, 4)
+    mesh = assemble_deformed(deformed_quarter(
+        FundamentalData.demo(), DeformationSchedule.linear(), t), 8, 4)
     pairs = _pairs_checked_by_oracle(mesh)
     # the corollary: only the open states between the ends self-intersect
     assert bool(pairs) == (0.0 < t < 1.0)
@@ -250,7 +250,8 @@ def test_labelled_broad_phase_on_admissible_states(data, t_open):
     # same-slab, cross-piece pairs lose no hit of the O(F^2) scan, folded,
     # open or flat; 8 examples draw all four profile kinds
     for t in (0.0, t_open, 1.0):
-        mesh = assemble_deformed(data, DeformationSchedule.linear(), t, 12, 6)
+        mesh = assemble_deformed(
+            deformed_quarter(data, DeformationSchedule.linear(), t), 12, 6)
         slab, piece = mesh.face_labels.T
         assert np.bincount(piece).tolist() == [mesh.n_faces // 4] * 4
         # slab j lies between the column planes x_j and x_{j+1}
@@ -376,13 +377,38 @@ def test_double_rectangle_never_reaches_the_narrow_phase(n):
 @given(admissible_data())
 def test_flat_states_never_reach_the_narrow_phase(data):
     # every face of the flat state lies in z = 0, with +0.0 and -0.0 mixed
-    mesh = assemble_deformed(data, DeformationSchedule.linear(), 1.0, 12, 6)
+    mesh = assemble_deformed(
+        deformed_quarter(data, DeformationSchedule.linear(), 1.0), 12, 6)
     assert np.all(mesh.vertices[:, 2] == 0.0)
     P = mesh.vertices[mesh.faces]
     eps = _CONTACT_FACTOR * mesh.diagonal()
     assert sum(len(i) for i, _ in _box_pairs(P.min(axis=1), P.max(axis=1),
                                              mesh.face_labels, eps)) > 0
     assert _narrow_phase_input(mesh) == []
+
+
+def test_level_meshes_skip_the_broad_phase():
+    # with every corner at one z the z-level rule drops every pair, so the
+    # broad phase is not run: the flat state, and that mesh moved to z = 0.3
+    schedule = DeformationSchedule.linear()
+    data = FundamentalData.demo()
+    flat = assemble_deformed(deformed_quarter(data, schedule, 1.0), 12, 6)
+    raised = TriMesh(flat.vertices + [0.0, 0.0, 0.3], flat.faces,
+                     face_labels=flat.face_labels)
+    opened = assemble_deformed(deformed_quarter(data, schedule, 0.5), 12, 6)
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return _box_pairs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_box_pairs", spy)
+        assert self_intersection_pairs(flat) == []
+        assert self_intersection_pairs(raised) == []
+        assert calls == []
+        assert self_intersection_pairs(opened) != []
+    assert calls == [opened.n_faces]
 
 
 def test_face_labels_of_the_double_rectangle():
@@ -422,7 +448,7 @@ def test_assembly_of_admissible_boxes(data, t):
         * (2.0 * data.max_height())
     assert 0.0 < box.signed_volume() < bound
     # in between, only the horizontal end leaves the mirror plane z = 0
-    mid = assemble_deformed(data, schedule, t, 8, 4)
+    mid = assemble_deformed(deformed_quarter(data, schedule, t), 8, 4)
     assert [mid.weld_report[k] for k in _CORRESPONDENCES] == [
         "welded", "welded", "open"]
     for mesh, X in ((box, QuarterParametrization(data).X),
@@ -466,8 +492,9 @@ def test_obj_matches_the_fstring_writer(tmp_path):
                         [np.pi, -2.5e-7, 123456789.0]])
     meshes = [TriMesh(corners, np.array([[0, 1, 2], [2, 1, 0]])),
               TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)),
-              assemble_deformed(FundamentalData.demo(),
-                                DeformationSchedule.linear(), 0.5, 96, 48)]
+              assemble_deformed(deformed_quarter(
+                  FundamentalData.demo(), DeformationSchedule.linear(), 0.5),
+                  96, 48)]
     for k, mesh in enumerate(meshes):
         path = tmp_path / f"{k}.obj"
         export_obj(mesh, path)

@@ -44,11 +44,11 @@ def test_quarter_surface_structure():
     assert np.max(np.abs(crease_pts[:, 1] - z0)) < 1e-12
     assert np.max(np.abs(crease_pts[:, 2] - z0)) < 1e-12
     # horizontal end (v = zeta) drops to the z = 0 plane
-    horiz = quarter.horizontal_end(s)
+    horiz = oc.horizontal_end(quarter, s)
     assert np.max(np.abs(horiz[:, 2])) < 1e-12
     assert np.max(np.abs(horiz[:, 1] - z0)) < 1e-12
     # vertical end (v = zeta - b) sits in the y = b plane
-    vert = quarter.vertical_end(s)
+    vert = oc.vertical_end(quarter, s)
     assert np.max(np.abs(vert[:, 1] - data.b)) < 1e-12
 
 
@@ -125,9 +125,10 @@ def test_folded_quarter_is_the_lam_1_deformed_quarter(data):
                      0.5 * z0, z0])
     smat = np.broadcast_to(s, vmat.shape)
     assert np.array_equal(quarter.X(smat, vmat), deformed.X(smat, vmat))
-    assert np.array_equal(quarter.vertical_end(s), deformed.vertical_end(s))
-    assert np.array_equal(quarter.horizontal_end(s),
-                          deformed.horizontal_end(s))
+    assert np.array_equal(oc.vertical_end(quarter, s),
+                          oc.vertical_end(deformed, s))
+    assert np.array_equal(oc.horizontal_end(quarter, s),
+                          oc.horizontal_end(deformed, s))
     # the Frenet strip pair rules the quarter by the same constant rulings
     inner = np.linspace(0.1, 0.9, 9) * data.length
     assert np.max(np.abs(quarter.upper_strip.ruling(inner)

@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from pillowfold.deformation import DeformedQuarter
+from pillowfold import deformation, pillowbox
+from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
+                                    assemble_deformed, deformed_quarter)
 from pillowfold.errors import CollinearSamples, DegenerateMetric, GridTooCoarse
-from pillowfold.mesh import TriMesh, self_intersection_pairs
+from pillowfold.mesh import (TriMesh, assemble_reflected,
+                             self_intersection_pairs)
 from pillowfold.pillowbox import assemble_box
 from pillowfold.profiles import FundamentalData
-from pillowfold.verify import (check_crease_planarity, check_flatness,
-                               check_isometry, topology_report)
+from pillowfold.verify import (TOLERANCES, certify, check_crease_planarity,
+                               check_flatness, check_isometry, topology_report)
 
 import oracles as oc
 
@@ -174,3 +177,43 @@ def test_topology_report_cube_and_box():
     box = assemble_box(FundamentalData.demo(), 16, 8)
     topo = topology_report(box)
     assert topo.closed and topo.euler == 2 and topo.volume > 0.0
+
+
+_DRIFT = DeformationSchedule.from_table([0.0, 0.5, 1.0], [1.0, 0.6, 0.0],
+                                        [0.2, -0.1, 0.3])
+
+
+@pytest.mark.parametrize("schedule, meshes", [
+    (DeformationSchedule.linear(), 3), (DeformationSchedule.cosine(), 3),
+    (_DRIFT, 4)])
+def test_certify_builds_each_state_once(monkeypatch, schedule, meshes):
+    # seven states, the box and the dichotomy strip: nine quarters.  The
+    # t = 0 state is meshed apart from the box only when it drifts.
+    counts = {"quarters": 0, "meshes": 0}
+    init = DeformedQuarter.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["quarters"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_assembly(*args, **kwargs):
+        counts["meshes"] += 1
+        return assemble_reflected(*args, **kwargs)
+
+    data = FundamentalData.demo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DeformedQuarter, "__init__", counted_init)
+        for module in (deformation, pillowbox):
+            mp.setattr(module, "assemble_reflected", counted_assembly)
+        reports = certify(data, schedule, 8, 4, 1e-3, TOLERANCES)
+    assert counts == {"quarters": 9, "meshes": meshes}
+    assert all(r.passed for r in reports)
+    # the t = 0 entry is that of a mesh of its own, reused or not
+    topo = topology_report(
+        assemble_deformed(deformed_quarter(data, schedule, 0.0), 8, 4))
+    entry = next(r for r in reports if r.check == "topology t=0")
+    assert entry.to_dict() == {
+        "check": "topology t=0", "grid": "8x4",
+        "worst": float(topo.boundary_edges),
+        "at": [float(topo.intersections), 0.0], "threshold": 0.5,
+        "pass": topo.closed and topo.euler == 2 and topo.intersections == 0}
