@@ -247,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="pattern-scaling family of boxes")
     common(p)
-    p.add_argument("--pattern-scaling", action="store_true", required=True)
+    p.add_argument("--pattern-scaling", action="store_true",
+                   help="the pattern-scaling family, the only one and the "
+                        "default; the flag may be given or left out")
     p.add_argument("--t-values", type=_parse_numbers,
                    default="0,0.25,0.5,0.75,0.95")
     p.set_defaults(fn=_cmd_family)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import NonFiniteEvaluation, QuadratureFailure
 
-# Hard cap on the total number of panels across one integration call.
+# Hard cap on the number of panels one point set may need; a call that
+# integrates several sets at once gets this cap once per set.
 MAX_PANELS = 2 ** 20
 
 # Panels narrower than width * 2^-46 are accepted unconditionally: below that
@@ -42,12 +43,18 @@ def _evaluate(fn, *parts):
     return np.split(values, len(parts))
 
 
-def integrate_segments(fn, lo, hi, tol) -> np.ndarray:
+def integrate_segments(fn, lo, hi, tol, sets: int = 1) -> np.ndarray:
     """Integrate fn over each [lo_i, hi_i] with per-segment absolute tolerance.
 
     Returns one value per segment. Accepted panels use Richardson
-    extrapolation of the two Simpson estimates.  More than MAX_PANELS
-    panels in one call raise QuadratureFailure.
+    extrapolation of the two Simpson estimates.  Each segment is refined on
+    its own: its panels, tolerance budget and width floor, and the order in
+    which its accepted panels are summed, do not depend on the other
+    segments of the call, so a segment's value has the same bits in any
+    call that contains it.  The call raises QuadratureFailure once it has
+    made more than sets * MAX_PANELS panels; a caller that batches the
+    segments of several point sets passes their number as sets, so that
+    only a call in which one set alone passes MAX_PANELS is stopped.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -67,6 +74,7 @@ def integrate_segments(fn, lo, hi, tol) -> np.ndarray:
     floor_per_panel = floor_w[seg]
 
     n_panels = nseg
+    cap = sets * MAX_PANELS
     while seg.size:
         m = 0.5 * (a + b)
         lm = 0.5 * (a + m)
@@ -84,9 +92,9 @@ def integrate_segments(fn, lo, hi, tol) -> np.ndarray:
         keep = ~accept
         n_new = 2 * int(np.count_nonzero(keep))
         n_panels += n_new
-        if n_panels > MAX_PANELS:
+        if n_panels > cap:
             raise QuadratureFailure(
-                f"panel cap {MAX_PANELS} exceeded ({seg[keep].size} panels still open)"
+                f"panel cap {cap} exceeded ({seg[keep].size} panels still open)"
             )
         seg = np.concatenate([seg[keep], seg[keep]])
         a = np.concatenate([a[keep], m[keep]])
@@ -110,24 +118,45 @@ def cumulative_integral(fn, points, tol: float = 1e-12) -> np.ndarray:
     to much better than tol.  Each value therefore depends on the whole
     point set, not only on the points up to it: adding points elsewhere
     changes the last bits, so a caller that memoizes results must key them
-    by the full set and never merge sets.
+    by the full set and never merge sets.  This is the one-set call of
+    cumulative_integrals, which batches several sets without merging them.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError("points must be a 1-d array")
-    if pts.size == 1:
-        return np.zeros(1)
-    widths = np.diff(pts)
-    if np.any(widths < 0):
-        raise ValueError("points must be ascending")
-    total = pts[-1] - pts[0]
-    if total <= 0:
-        return np.zeros(pts.size)
-    seg_tol = np.maximum(tol * widths / total, 1e-16)
-    increments = integrate_segments(fn, pts[:-1], pts[1:], seg_tol)
-    out = np.empty(pts.size)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
+    return cumulative_integrals(fn, [points], tol)[0]
+
+
+def cumulative_integrals(fn, point_sets, tol: float = 1e-12) -> list:
+    """cumulative_integral along each ascending set, in one quadrature call.
+
+    The segments of every set go through one integrate_segments call, so
+    the integrand is called once per sweep for all of them; each set keeps
+    its own tolerance split (tol times the segment's share of that set's
+    width) and its own panel cap, and integrate_segments refines every
+    segment on its own.  So each result has the bits of a
+    cumulative_integral call on that set alone: sets share a call but are
+    never merged.  A 1-point set gives [0] and a zero-width set zeros.
+    """
+    out, live = [], []
+    for points in point_sets:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 1 or pts.size < 1:
+            raise ValueError("points must be a 1-d array")
+        widths = np.diff(pts)
+        if np.any(widths < 0):
+            raise ValueError("points must be ascending")
+        out.append(np.zeros(pts.size))
+        total = pts[-1] - pts[0]
+        if total <= 0:
+            continue
+        live.append((out[-1], pts, np.maximum(tol * widths / total, 1e-16)))
+    if live:
+        values = integrate_segments(
+            fn, np.concatenate([pts[:-1] for _, pts, _ in live]),
+            np.concatenate([pts[1:] for _, pts, _ in live]),
+            np.concatenate([seg_tol for _, _, seg_tol in live]),
+            sets=len(live))
+        ends = np.cumsum([seg_tol.size for _, _, seg_tol in live])[:-1]
+        for (cum, _, _), increments in zip(live, np.split(values, ends)):
+            np.cumsum(increments, out=cum[1:])
     return out
 
 

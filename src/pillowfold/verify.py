@@ -22,6 +22,12 @@ from .mesh import (TriMesh, min_triangle_area_check, quarter_grid_v,
                    self_intersection_pairs)
 from .profiles import FundamentalData
 
+# The states of certify's checks, as values of the schedule's t.
+_ISOMETRY_STATES = (0.0, 0.25, 0.5, 0.75, 1.0)
+_FLATNESS_STATES = (0.0, 0.5, 1.0)
+_STRUCTURE_STATES = (0.0, 0.3, 0.7, 1.0)
+_TOPOLOGY_STATES = {0.0: True, 0.5: False, 1.0: True}     # t: closed
+
 TOLERANCES = {
     "isometry": 1e-6,
     "flatness": 1e-5,
@@ -301,6 +307,12 @@ def _dichotomy_check(data, s):
                                (0.0, 0.0), 1e-8)
 
 
+def _reuses_box(t, quarter) -> bool:
+    """Whether the topology of state t is the box's: t = 0 with exactly
+    (lam, mu) = (1, 0)."""
+    return t == 0.0 and (quarter.lam, quarter.mu) == (1.0, 0.0)
+
+
 def _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols):
     reports = []
     zmax = data.max_height()
@@ -312,14 +324,14 @@ def _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols):
         reports.append(CheckReport.bounded(
             f"depth-formula t={t:g}", "4001", gap, (depth, predicted),
             tols["depth"]))
-    for t, want_closed in ((0.0, True), (0.5, False), (1.0, True)):
-        q = quarters[t]
-        if t == 0.0 and (q.lam, q.mu) == (1.0, 0.0):
+    for t, want_closed in _TOPOLOGY_STATES.items():
+        if _reuses_box(t, quarters[t]):
             # The box is this quarter's mesh with the horizontal weld
             # required, so if box_checks returned, the mesh is the same.
             topo = box_topo
         else:
-            topo = topology_report(deformation.assemble_deformed(q, n_s, n_v))
+            topo = topology_report(
+                deformation.assemble_deformed(quarters[t], n_s, n_v))
         if want_closed:
             ok = topo.closed and topo.euler == 2 and topo.intersections == 0
         else:
@@ -342,7 +354,7 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     # that crease's travel memo.  They are built in the order the checks
     # first use them, so a schedule error names the first state checked.
     quarters = {t: deformation.deformed_quarter(data, schedule, t)
-                for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.7)}
+                for t in dict.fromkeys(_ISOMETRY_STATES + _STRUCTURE_STATES)}
     L, tol = data.length, data.zeta.domain_tol
     h_iso = (1e-5 * max(L, 1.0), 1e-6 * max(data.b, 1.0))
     h_flat = (1e-4 * max(L, 1.0), 1e-4 * max(data.b, 1.0))
@@ -358,19 +370,34 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     frac = np.linspace(0.08, 0.92, n_half)
     strips = {"upper": z0[:, None] * frac,
               "lower": -(data.b - z0)[:, None] * frac}
+    # Every crease set the checks below ask for, one quadrature pass per
+    # quarter.  A set listed but unused costs only time, a set used but not
+    # listed only a second pass; the memo's bits are the same either way.
+    travel = {t: [s] for t in quarters}
+    for t in _ISOMETRY_STATES:
+        travel[t] += [s + h_iso[0], s - h_iso[0]]
+    for t in _FLATNESS_STATES:
+        travel[t] += [s + h_flat[0], s - h_flat[0]]
+    for t in _STRUCTURE_STATES:
+        travel[t].append(np.array([0.0, L]))
+    for t in _TOPOLOGY_STATES:
+        if not _reuses_box(t, quarters[t]):
+            travel[t].append(deformation.grid_columns(L, n_s))
+    for t, quarter in quarters.items():
+        quarter.crease.integrate_travel(travel[t])
     # A stencil of steps (h_s, h_v) samples each strip through that strip's
     # own smooth extension, with room to straddle the curved boundary.
     reference = _metric_reference(data)
     reports = [check_isometry(
         quarters[t].sampler(side, 2.0 * (h_iso[0] + h_iso[1])), reference,
         s, v, *h_iso, tols["isometry"], f"isometry t={t:g} {side}")
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0) for side, v in strips.items()]
+        for t in _ISOMETRY_STATES for side, v in strips.items()]
     reports += [check_flatness(
         quarters[t].sampler(side, 2.0 * (h_flat[0] + h_flat[1])),
         s, v, *h_flat, tols["flatness"], f"flatness t={t:g} {side}")
-        for t in (0.0, 0.5, 1.0) for side, v in strips.items()]
+        for t in _FLATNESS_STATES for side, v in strips.items()]
     reports += _structure_checks(
-        data, {t: quarters[t] for t in (0.0, 0.3, 0.7, 1.0)}, s, z0, tols)
+        data, {t: quarters[t] for t in _STRUCTURE_STATES}, s, z0, tols)
     box_reports, box_topo, _ = box_checks(data, n_s, n_v)
     reports += box_reports
     reports += development_checks(data, n_s, n_v)[0]

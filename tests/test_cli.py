@@ -25,6 +25,12 @@ STEEP_ARCH = {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": 2.0,
                                  "width": 0.99889}}
 
 
+# a drifting table schedule, whose t = 0 state (lam, mu) = (1, 0.2) is not
+# the box, so certify meshes it
+DRIFT_SCHEDULE = {"kind": "table", "t": [0.0, 0.5, 1.0],
+                  "lam": [1.0, 0.6, 0.0], "mu": [0.2, -0.1, 0.3]}
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -222,6 +228,16 @@ def test_family_pattern_scaling(capsys):
     assert all(r["width_gap"] <= 1e-6 for r in rows)
 
 
+def test_family_pattern_scaling_flag_is_optional(capsys):
+    # the pattern-scaling family is the only one, so naming it changes nothing
+    argv = ["family", "--grid", "16x8", "--t-values", "0,0.5"]
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    assert main(argv + ["--pattern-scaling"]) == 0
+    assert capsys.readouterr().out == bare
+    assert json.loads(bare)["rows"]
+
+
 def test_family_reports_but_does_not_gate_volume_order(capsys, tmp_path):
     # pattern scaling raises this box's volume from t = 0 to t = 0.05
     box = tmp_path / "hyperbolic.json"
@@ -236,17 +252,24 @@ def test_family_reports_but_does_not_gate_volume_order(capsys, tmp_path):
     assert rc == 0
 
 
-def test_verify_all_integrates_each_crease_set_once(capsys, monkeypatch):
-    # 114 crease integrals when every call integrated afresh
-    calls = []
+def test_verify_all_integrates_each_crease_set_once(capsys, monkeypatch,
+                                                   tmp_path):
+    # one quadrature pass per crease: the seven states' quarters and the
+    # box's own (30 when each set of abscissae had a pass of its own)
+    drift = tmp_path / "drift.json"
+    drift.write_text(json.dumps(DRIFT_SCHEDULE))
+    passes = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return quadrature.cumulative_integral(*args, **kwargs)
-    monkeypatch.setattr(curves, "cumulative_integral", counted)
-    rc, _, _ = run_cli(capsys, "verify", "--all", "--grid", "32x16")
-    assert rc == 0
-    assert 0 < len(calls) <= 40
+        passes.append(1)
+        return quadrature.cumulative_integrals(*args, **kwargs)
+    monkeypatch.setattr(curves, "cumulative_integrals", counted)
+    for schedule in ("linear", "cosine", str(drift)):
+        passes.clear()
+        rc, _, _ = run_cli(capsys, "verify", "--all", "--grid", "32x16",
+                           "--schedule", schedule)
+        assert rc == 0
+        assert len(passes) == 8, schedule
 
 
 def test_verify_all_passes(capsys):

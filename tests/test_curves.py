@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pillowfold import curves, quadrature
 from pillowfold.curves import ProfileCrease
 from pillowfold.errors import DomainError, EndpointSingularity
 from pillowfold.profiles import FundamentalData, ProfileFunction
 
 import oracles as oc
+from strategies import admissible_data
 
 
 def speed_gap(curve, s) -> float:
@@ -110,6 +113,30 @@ def test_profile_crease_memo_returns_fresh_bits(lam):
     for arg in (s, s + h, s - h, s, s + h):
         got = crease.point(arg)
         assert np.array_equal(got, ProfileCrease(data, lam=lam).point(arg))
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=admissible_data(), lam=st.sampled_from([1.0, 0.5, 0.0]))
+def test_profile_crease_batch_returns_fresh_bits(data, lam):
+    # certify's sets: an interior grid, its stencil neighbours, the ends
+    # and the mesh columns, integrated in one pass
+    L = data.length
+    s = np.linspace(0.001 * L, 0.999 * L, 17)
+    h = 1e-4 * max(L, 1.0)
+    sets = [s, s + h, s - h, np.array([0.0, L]), np.linspace(0.0, L, 9)]
+    crease = ProfileCrease(data, lam=lam)
+    passes = []
+
+    def counted(fn, point_sets, tol):
+        passes.append(len(point_sets))
+        return quadrature.cumulative_integrals(fn, point_sets, tol)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(curves, "cumulative_integrals", counted)
+        crease.integrate_travel(sets)
+        got = [crease.point(arg) for arg in sets]
+    assert passes == [len(sets)]
+    for arg, pts in zip(sets, got):
+        assert np.array_equal(pts, ProfileCrease(data, lam=lam).point(arg))
 
 
 def test_profile_crease_memo_hands_out_copies():

@@ -8,8 +8,8 @@ from pillowfold import quadrature
 from pillowfold.curves import ProfileCrease
 from pillowfold.errors import NonFiniteEvaluation, QuadratureFailure
 from pillowfold.profiles import FundamentalData
-from pillowfold.quadrature import (cumulative_integral, gauss_segments,
-                                   integrate_segments)
+from pillowfold.quadrature import (cumulative_integral, cumulative_integrals,
+                                   gauss_segments, integrate_segments)
 
 from oracles import fixed_simpson, separate_call_simpson
 
@@ -76,6 +76,37 @@ def test_integrate_segments_panel_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureFailure):
         integrate_segments(wiggly, np.array([0.0]), np.array([1.0]), 1e-14)
+
+
+def _panels(fn, points, tol=1e-12):
+    """The panels cumulative_integral makes on one set: after the three
+    points of each starting segment, every panel takes two integrand points
+    in the one sweep it is open."""
+    counted, calls = _counted(fn)
+    cumulative_integral(counted, points, tol)
+    return (sum(calls) - 3 * (len(points) - 1)) // 2
+
+
+def test_panel_cap_is_per_set(monkeypatch):
+    fn = INTEGRANDS["demo-sigma"][0]
+    points = np.linspace(0.0, 2.0, 9)
+    need = _panels(fn, points)
+    alone = cumulative_integral(fn, points)
+    # at the cap each set passes alone, and three of them pass together
+    # although they make three times the cap's panels
+    monkeypatch.setattr(quadrature, "MAX_PANELS", need)
+    assert np.array_equal(cumulative_integral(fn, points), alone)
+    for got in cumulative_integrals(fn, [points] * 3):
+        assert np.array_equal(got, alone)
+    # one panel over it a set fails alone, with the one-set message, and
+    # three such sets fail together
+    monkeypatch.setattr(quadrature, "MAX_PANELS", need - 1)
+    with pytest.raises(QuadratureFailure,
+                       match=rf"^panel cap {need - 1} exceeded \("):
+        cumulative_integral(fn, points)
+    with pytest.raises(QuadratureFailure,
+                       match=rf"^panel cap {3 * (need - 1)} exceeded \("):
+        cumulative_integrals(fn, [points] * 3)
 
 
 def test_non_finite_integrand_rejected():
@@ -164,3 +195,26 @@ def test_first_non_finite_point_named_as_by_separate_calls(windows):
         with pytest.raises(NonFiniteEvaluation) as got:
             integrate_segments(bad, lo, hi, 1e-10)
         assert str(got.value) == str(want.value)
+
+
+def _zero_width(x, n):
+    return [x] * n
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGRANDS)),
+       sets=st.lists(st.one_of(
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+           st.builds(_zero_width, st.floats(0.0, 1.0), st.integers(2, 4))),
+           min_size=1, max_size=5),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_cumulative_integrals_have_the_bits_of_one_call_per_set(name, sets,
+                                                                 tol):
+    fn, lo, hi = INTEGRANDS[name]
+    point_sets = [lo + (hi - lo) * np.sort(cuts) for cuts in sets]
+    got = cumulative_integrals(fn, point_sets, tol)
+    assert len(got) == len(point_sets)
+    for pts, cum in zip(point_sets, got):
+        assert np.array_equal(cum, cumulative_integral(fn, pts, tol))
+        if pts[-1] == pts[0]:       # a 1-point or zero-width set
+            assert np.array_equal(cum, np.zeros(pts.size))
