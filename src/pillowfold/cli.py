@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import deformation, mesh, verify
+from . import deformation, mesh, pillowbox, verify
 from .deformation import DeformationSchedule
 from .errors import DomainError, IoError, PillowFoldError
 from .profiles import FundamentalData, validate_fundamental_data
@@ -121,7 +121,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_build(args) -> int:
     data = _load_data(args.input)
-    reports, topo, box = verify.box_checks(data, *args.grid)
+    reports, topo, box = verify.box_checks(
+        pillowbox.QuarterParametrization(data), *args.grid)
     path = _artifact(args.out, "box.obj")
     if path:
         mesh.export_obj(box, path)

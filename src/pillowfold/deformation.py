@@ -257,8 +257,7 @@ def assemble_deformed(quarter: DeformedQuarter, n_s: int, n_v: int) -> TriMesh:
     the plane z = 0; in between the mesh is reported open, never an error.
     """
     return assemble_reflected(quarter.X, grid_columns(quarter.length, n_s),
-                              quarter.data.b, n_v,
-                              require_horizontal_weld=False)
+                              quarter.data.b, n_v)
 
 
 def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
@@ -297,16 +296,15 @@ def assemble_pattern_scaled(data: FundamentalData, t: float, n_s: int,
                             n_v: int) -> tuple[FundamentalData, TriMesh]:
     """The pattern-scaling member at t and its closed box.
 
-    The box is pillowbox.assemble_box(member)'s grid, columns evenly spaced
-    in the member's arc length s, but each column is sampled at its base
-    abscissa u = s_t^-1(s) by DeformedQuarter(data, 1, scale=c) (see
-    pattern_scaling_family): the inverse map runs once per column, and
-    the crease travel integrates sigma_c of the base profile.  Faces, face
-    labels and welds are assemble_box(member)'s; vertices agree to the
-    quadrature's rounding.  Every weld is required, as in assemble_box.
+    The box is the member's folded box's grid, columns evenly spaced in the
+    member's arc length s, but each column is sampled at its base abscissa
+    u = s_t^-1(s) by DeformedQuarter(data, 1, scale=c) (see
+    pattern_scaling_family): the inverse map runs once per column, and the
+    crease travel integrates sigma_c of the base profile.  Faces, face
+    labels and welds are that box's; vertices agree to the quadrature's
+    rounding.  As there, the horizontal end lies in z = 0 and is welded.
     """
     member = pattern_scaling_family(data, t)
     quarter = DeformedQuarter(data, 1.0, scale=1.0 - t)
     u = member.zeta.travel.inverse(grid_columns(member.length, n_s))
-    return member, assemble_reflected(quarter.X, u, data.b, n_v,
-                                      require_horizontal_weld=True)
+    return member, assemble_reflected(quarter.X, u, data.b, n_v)

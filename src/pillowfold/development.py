@@ -71,7 +71,7 @@ def validate_pattern_conditions(f: ProfileFunction,
 
     def entry(name, margin, worst_x):
         return {"name": name, "passed": bool(margin > 0), "margin": float(margin),
-                "worst_s": float(worst_x), "gating": True}
+                "worst_s": float(worst_x)}
 
     entries = [
         entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),

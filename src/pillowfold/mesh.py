@@ -234,21 +234,21 @@ _PIECE_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
                          [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
 
 
-def assemble_reflected(X, s_values, b: float, n_v: int, *,
-                       require_horizontal_weld: bool = False) -> TriMesh:
+def assemble_reflected(X, s_values, b: float, n_v: int) -> TriMesh:
     """Weld the four reflected copies of a quarter into one mesh.
 
     The quarter X is sampled in columns at the given abscissae (at least 3),
     each from v = h - b up to its height h, the y of X(s, 0) on the crease;
     a first or last height within BC_TOL of 0 is snapped to 0.
     Reflections: rho_V about the plane y = b, rho_H about z = 0. Corresponding
-    boundaries: vertical-end rows between a piece and its rho_V image (always
-    coincident), the s-endpoint columns and horizontal-end rows between a
-    piece and its rho_H image (coincident only when the horizontal end lies in
-    z = 0).  Each vertex pair within _WELD_TOL_FACTOR x the bounding-box
-    diagonal is welded; a correspondence with any pair outside it is
-    reported open, or, when required, raises WeldFailure.  The weld report
-    gives each correspondence's status and worst gap, and the tolerance.
+    boundaries: vertical-end rows between a piece and its rho_V image, the
+    s-endpoint columns and horizontal-end rows between a piece and its rho_H
+    image.  Each vertex pair within _WELD_TOL_FACTOR x the bounding-box
+    diagonal is welded.  The vertical end and the endpoint columns are
+    required: any pair outside the tolerance raises WeldFailure.  The
+    horizontal end is welded when it lies in z = 0, as at lam in {0, 1},
+    and reported open otherwise.  The weld report gives each
+    correspondence's status and worst gap, and the tolerance.
     Each face is labelled with its slab and its piece k (see _PIECE_SIGNS);
     X must be a quarter map, whose x depends on s alone and increases with
     it, and which is injective.
@@ -280,7 +280,7 @@ def assemble_reflected(X, s_values, b: float, n_v: int, *,
     correspondences = {
         "vertical_end": (idx[0], [[0, 1], [2, 3]], True),
         "endpoint_columns": (idx[:, [0, -1]].T, [[0, 2], [1, 3]], True),
-        "horizontal_end": (idx[-1], [[0, 2], [1, 3]], require_horizontal_weld),
+        "horizontal_end": (idx[-1], [[0, 2], [1, 3]], False),
     }
     report, worst_gap, welds = {}, {}, []
     for name, (ids, piece_pairs, required) in correspondences.items():

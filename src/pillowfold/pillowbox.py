@@ -1,26 +1,24 @@
 """The fully folded box: the lam = 1 quarter, its Frenet strip pair, the mesh.
 
-The folded quarter is deformation.DeformedQuarter at lam = 1, mu = 0: the
-crease c(s) = (int_0^s sigma, zeta, zeta) with sigma = sqrt(1 - 2 zeta'^2),
+The folded quarter is the family's state lam = 1, mu = 0 (DeformedQuarter):
+the crease c(s) = (int_0^s sigma, zeta, zeta), sigma = sqrt(1 - 2 zeta'^2),
 ruled by the constant (0, 0, -1) above and (0, -1, 0) below.  This module
 adds the same two strips written through the crease's Frenet frame, which the
-curved-fold kernel measures (ruling angles, dual metrics), and
-assemble_box.  The embedding uses the constant rulings, since the
-Frenet-based formulas degenerate at the interval ends (sigma -> 0) while the
-surface itself stays perfectly smooth there.
+curved-fold kernel measures (ruling angles, dual metrics), and assemble_box,
+which meshes the quarter it is given.  The embedding uses the constant
+rulings: the Frenet-based formulas degenerate at the interval ends
+(sigma -> 0), while the surface stays perfectly smooth there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import SIGMA_MIN, ProfileCrease
-from .deformation import XI_LOWER, DeformedQuarter, grid_columns
+from .curves import ProfileCrease
+from .deformation import DeformedQuarter, grid_columns
 from .folding import DevelopableStrip
 from .mesh import TriMesh, assemble_reflected
 from .profiles import FundamentalData
-
-XI_UPPER = np.array([0.0, 0.0, -1.0])
 
 
 def _alpha_functions(crease: ProfileCrease):
@@ -43,8 +41,8 @@ def _alpha_functions(crease: ProfileCrease):
 class QuarterParametrization(DeformedQuarter):
     """One quarter of the folded box: the deformed quarter at lam = 1, mu = 0.
 
-    v >= 0 is the strip that folds down (ruling XI_UPPER), v < 0 the strip
-    that folds sideways (ruling XI_LOWER); v = 0 is the crease.
+    v >= 0 is the strip that folds down (ruling xi_upper), v < 0 the strip
+    that folds sideways (ruling xi_lower); v = 0 is the crease.
     """
 
     def __init__(self, data: FundamentalData):
@@ -59,16 +57,13 @@ class QuarterParametrization(DeformedQuarter):
         return super().X(s, v)
 
 
-def assemble_box(data: FundamentalData, n_s: int, n_v: int) -> TriMesh:
-    """Closed box mesh from four reflected quarters.
-
-    All four boundary correspondences (vertical end, horizontal end, endpoint
-    columns) are required here; any miss raises WeldFailure.
-    """
-    quarter = QuarterParametrization(data)
-    return assemble_reflected(quarter.X, grid_columns(data.length, n_s),
-                              data.b, n_v, require_horizontal_weld=True)
+def assemble_box(quarter: QuarterParametrization, n_s: int,
+                 n_v: int) -> TriMesh:
+    """The closed box mesh of the folded quarter: assemble_deformed's, written
+    out again so that perfbench's tracer times the box as a span of its own.
+    An open profile raises WeldFailure (see mesh.assemble_reflected)."""
+    return assemble_reflected(quarter.X, grid_columns(quarter.length, n_s),
+                              quarter.data.b, n_v)
 
 
-__all__ = ["XI_UPPER", "XI_LOWER", "SIGMA_MIN", "QuarterParametrization",
-           "assemble_box"]
+__all__ = ["QuarterParametrization", "assemble_box"]

@@ -262,7 +262,7 @@ def validate_fundamental_data(b: float, zeta: ProfileFunction,
     def entry(name, margin, worst_s, passed=None):
         passed = margin > 0 if passed is None else passed
         return {"name": name, "passed": bool(passed), "margin": float(margin),
-                "worst_s": float(worst_s), "gating": True}
+                "worst_s": float(worst_s)}
 
     entries = [
         entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),

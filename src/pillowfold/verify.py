@@ -245,10 +245,11 @@ def _structure_checks(data, quarters, s, z0, tols):
     return reports
 
 
-def box_checks(data: FundamentalData, n_s: int, n_v: int):
-    """Checks on the assembled box; returns (reports, topology, box)."""
-    box = pillowbox.assemble_box(data, n_s, n_v)
+def box_checks(folded: pillowbox.QuarterParametrization, n_s: int, n_v: int):
+    """Checks on the folded quarter's box; returns (reports, topology, box)."""
+    box = pillowbox.assemble_box(folded, n_s, n_v)
     topo = topology_report(box)
+    data = folded.data
     grid = f"{n_s}x{n_v}"
     bound = (2.0 * data.half_width()) * (2.0 * data.b) * (2.0 * data.max_height())
     reports = [
@@ -297,9 +298,9 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int):
     return reports, dev, psi, rect
 
 
-def _dichotomy_check(data, s):
-    strip = pillowbox.QuarterParametrization(data).upper_strip
-    v = np.full_like(s, 0.1 * data.b)
+def _dichotomy_check(folded, s):
+    strip = folded.upper_strip
+    v = np.full_like(s, 0.1 * folded.data.b)
     base = folding.first_fundamental_form(strip, s, v)
     dual = folding.first_fundamental_form(strip.dual(), s, v)
     gap = float(max(np.max(np.abs(b - d)) for b, d in zip(base, dual)))
@@ -307,13 +308,7 @@ def _dichotomy_check(data, s):
                                (0.0, 0.0), 1e-8)
 
 
-def _reuses_box(t, quarter) -> bool:
-    """Whether the topology of state t is the box's: t = 0 with exactly
-    (lam, mu) = (1, 0)."""
-    return t == 0.0 and (quarter.lam, quarter.mu) == (1.0, 0.0)
-
-
-def _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols):
+def _obstruction_checks(data, quarters, folded, box_topo, n_s, n_v, tols):
     reports = []
     zmax = data.max_height()
     for t in (0.25, 0.5, 0.75):
@@ -325,13 +320,9 @@ def _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols):
             f"depth-formula t={t:g}", "4001", gap, (depth, predicted),
             tols["depth"]))
     for t, want_closed in _TOPOLOGY_STATES.items():
-        if _reuses_box(t, quarters[t]):
-            # The box is this quarter's mesh with the horizontal weld
-            # required, so if box_checks returned, the mesh is the same.
-            topo = box_topo
-        else:
-            topo = topology_report(
-                deformation.assemble_deformed(quarters[t], n_s, n_v))
+        # the box is the folded quarter's mesh
+        topo = box_topo if quarters[t] is folded else topology_report(
+            deformation.assemble_deformed(quarters[t], n_s, n_v))
         if want_closed:
             ok = topo.closed and topo.euler == 2 and topo.intersections == 0
         else:
@@ -348,13 +339,21 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     structure, the box, the flat state, the closure obstruction and the
     dual-metric dichotomy, in that order.  tols maps each TOLERANCES name
     to its threshold; eps is the endpoint guard of the interior grids, a
-    DomainError if it lets a stencil step past either end of [0, L]."""
+    DomainError if it lets a stencil step past either end of [0, L].  The
+    box is the (lam, mu) = (1, 0) state: its quarter serves the box, the
+    dual-metric strips and every state at (1, 0), which reuses its mesh."""
     n_half = max(n_v // 4, 3)
-    # One quarter per state, so the checks of a state share its crease and
-    # that crease's travel memo.  They are built in the order the checks
-    # first use them, so a schedule error names the first state checked.
-    quarters = {t: deformation.deformed_quarter(data, schedule, t)
-                for t in dict.fromkeys(_ISOMETRY_STATES + _STRUCTURE_STATES)}
+    # One quarter per distinct (lam, mu), whose states' checks share its
+    # crease and travel memo: the folded one first, then the states in the
+    # order the checks first use them, so an error names the first checked.
+    folded = pillowbox.QuarterParametrization(data)
+    by_state = {(1.0, 0.0): folded}
+    quarters = {}
+    for t in dict.fromkeys(_ISOMETRY_STATES + _STRUCTURE_STATES):
+        key = (schedule.lam(t), schedule.mu(t))
+        if key not in by_state:
+            by_state[key] = deformation.DeformedQuarter(data, *key)
+        quarters[t] = by_state[key]
     L, tol = data.length, data.zeta.domain_tol
     h_iso = (1e-5 * max(L, 1.0), 1e-6 * max(data.b, 1.0))
     h_flat = (1e-4 * max(L, 1.0), 1e-4 * max(data.b, 1.0))
@@ -373,18 +372,19 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     # Every crease set the checks below ask for, one quadrature pass per
     # quarter.  A set listed but unused costs only time, a set used but not
     # listed only a second pass; the memo's bits are the same either way.
-    travel = {t: [s] for t in quarters}
+    travel = {quarter: [] for quarter in by_state.values()}
+    for quarter in quarters.values():
+        travel[quarter].append(s)
     for t in _ISOMETRY_STATES:
-        travel[t] += [s + h_iso[0], s - h_iso[0]]
+        travel[quarters[t]] += [s + h_iso[0], s - h_iso[0]]
     for t in _FLATNESS_STATES:
-        travel[t] += [s + h_flat[0], s - h_flat[0]]
+        travel[quarters[t]] += [s + h_flat[0], s - h_flat[0]]
     for t in _STRUCTURE_STATES:
-        travel[t].append(np.array([0.0, L]))
-    for t in _TOPOLOGY_STATES:
-        if not _reuses_box(t, quarters[t]):
-            travel[t].append(deformation.grid_columns(L, n_s))
-    for t, quarter in quarters.items():
-        quarter.crease.integrate_travel(travel[t])
+        travel[quarters[t]].append(np.array([0.0, L]))
+    for quarter in [folded] + [quarters[t] for t in _TOPOLOGY_STATES]:
+        travel[quarter].append(deformation.grid_columns(L, n_s))
+    for quarter, sets in travel.items():
+        quarter.crease.integrate_travel(sets)
     # A stencil of steps (h_s, h_v) samples each strip through that strip's
     # own smooth extension, with room to straddle the curved boundary.
     reference = _metric_reference(data)
@@ -398,11 +398,12 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
         for t in _FLATNESS_STATES for side, v in strips.items()]
     reports += _structure_checks(
         data, {t: quarters[t] for t in _STRUCTURE_STATES}, s, z0, tols)
-    box_reports, box_topo, _ = box_checks(data, n_s, n_v)
+    box_reports, box_topo, _ = box_checks(folded, n_s, n_v)
     reports += box_reports
     reports += development_checks(data, n_s, n_v)[0]
-    reports += _obstruction_checks(data, quarters, box_topo, n_s, n_v, tols)
-    reports.append(_dichotomy_check(data, s))
+    reports += _obstruction_checks(data, quarters, folded, box_topo, n_s, n_v,
+                                   tols)
+    reports.append(_dichotomy_check(folded, s))
     return reports
 
 

@@ -190,7 +190,8 @@ def test_criterion_7_pattern_scaling_contrast():
     vols, ok = [], True
     for t in (0.0, 0.25, 0.5, 0.75, 0.95):
         member = pattern_scaling_family(DATA, t)
-        topo = topology_report(assemble_box(member, 32, 16))
+        topo = topology_report(
+            assemble_box(QuarterParametrization(member), 32, 16))
         w_gap = abs(2.0 * member.half_width() - base_w)
         h_gap = abs(2.0 * member.b - base_h)
         ok = ok and topo.closed and topo.euler == 2 and max(w_gap, h_gap) <= tol

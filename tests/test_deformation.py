@@ -265,8 +265,9 @@ def test_pattern_scaling_volumes_decrease_continuously():
     vols = []
     for t in ts:
         member = pattern_scaling_family(data, float(t))
-        topo = topology_report(assemble_box(member, 16, 8),
-                               count_intersections=False)
+        topo = topology_report(
+            assemble_box(QuarterParametrization(member), 16, 8),
+            count_intersections=False)
         assert topo.volume_valid
         vols.append(topo.volume)
     vols = np.asarray(vols)
@@ -315,7 +316,7 @@ def test_member_box_matches_the_nested_reference(data, t):
     # the member's box sampled over the base arc length against the generic
     # assembly through the member's own (nested-map) profile
     member, box = assemble_pattern_scaled(data, t, 24, 12)
-    ref = assemble_box(member, 24, 12)
+    ref = assemble_box(QuarterParametrization(member), 24, 12)
     assert np.array_equal(box.faces, ref.faces)
     assert np.array_equal(box.face_labels, ref.face_labels)
     for name in ("vertical_end", "endpoint_columns", "horizontal_end"):
@@ -371,13 +372,14 @@ def test_member_gate_accepts_and_rejects_as_before(t):
     admitted = admissibility_margin(steep, 1.0 - t) > 0.0
     assert admitted == (admissibility_margin(member, 1.0) > 0.0) == (t > 0.25)
     if admitted:
-        assert np.array_equal(assemble_pattern_scaled(steep, t, 16, 8)[1].faces,
-                              assemble_box(member, 16, 8).faces)
+        assert np.array_equal(
+            assemble_pattern_scaled(steep, t, 16, 8)[1].faces,
+            assemble_box(QuarterParametrization(member), 16, 8).faces)
         return
     with pytest.raises(ScheduleViolation):
         assemble_pattern_scaled(steep, t, 16, 8)
     with pytest.raises(ScheduleViolation):
-        assemble_box(member, 16, 8)
+        assemble_box(QuarterParametrization(member), 16, 8)
 
 
 def test_demo_family_rows_are_pinned():

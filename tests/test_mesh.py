@@ -427,7 +427,8 @@ def test_face_labels_of_the_double_rectangle():
 
 
 def test_box_mesh_statistics():
-    box = assemble_box(FundamentalData.demo(), 16, 8)
+    box = assemble_box(QuarterParametrization(FundamentalData.demo()), 16,
+                       8)
     assert box.weld_report["boundary_edge_count"] == 0
     assert box.is_closed()
     # every face uses the welded vertex pool, no orphans
@@ -441,7 +442,7 @@ _CORRESPONDENCES = ("vertical_end", "endpoint_columns", "horizontal_end")
 @given(admissible_data(), st.floats(0.05, 0.95))
 def test_assembly_of_admissible_boxes(data, t):
     schedule = DeformationSchedule.linear()
-    box = assemble_box(data, 8, 4)
+    box = assemble_box(QuarterParametrization(data), 8, 4)
     assert box.is_closed() and box.euler_characteristic() == 2
     assert box.orientation_consistent()
     bound = (2.0 * data.half_width()) * (2.0 * data.b) \
@@ -460,7 +461,8 @@ def test_assembly_of_admissible_boxes(data, t):
 
 
 def test_obj_round_trip(tmp_path):
-    box = assemble_box(FundamentalData.demo(), 12, 6)
+    box = assemble_box(QuarterParametrization(FundamentalData.demo()), 12,
+                       6)
     p1 = tmp_path / "box.obj"
     p2 = tmp_path / "box2.obj"
     export_obj(box, p1)
@@ -505,7 +507,8 @@ def test_obj_matches_the_fstring_writer(tmp_path):
 def test_orientation_of_closed_meshes_with_one_flipped_face():
     for mesh in (TriMesh(*oc.unit_cube_mesh()),
                  double_rectangle_mesh(oc.TWO_A, 2.0, 3),
-                 assemble_box(FundamentalData.demo(), 8, 4)):
+                 assemble_box(QuarterParametrization(FundamentalData.demo()),
+                              8, 4)):
         assert mesh.orientation_consistent()
         for k in range(0, mesh.n_faces, 7):
             faces = mesh.faces.copy()

@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from pillowfold.deformation import DeformedQuarter
+from pillowfold.deformation import DeformedQuarter, assemble_pattern_scaled
 from pillowfold.errors import ScheduleViolation, WeldFailure
 from pillowfold.curves import ProfileCrease
-from pillowfold.pillowbox import (XI_LOWER, XI_UPPER, QuarterParametrization,
-                                  assemble_box)
-from pillowfold.profiles import FundamentalData, ProfileFunction
+from pillowfold.pillowbox import QuarterParametrization, assemble_box
+from pillowfold.profiles import BC_TOL, FundamentalData, ProfileFunction
 from pillowfold.verify import topology_report
 
 import oracles as oc
@@ -26,12 +25,14 @@ def test_crease_curve_against_quadrature_oracle():
 
 def test_quarter_rulings_are_constant_units():
     quarter = QuarterParametrization(FundamentalData.demo())
-    assert np.allclose(XI_UPPER, [0.0, 0.0, -1.0], atol=1e-15)
-    assert np.allclose(XI_LOWER, [0.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(quarter.xi_upper, [0.0, 0.0, -1.0], atol=1e-15)
+    assert np.allclose(quarter.xi_lower, [0.0, -1.0, 0.0], atol=1e-15)
     s = np.linspace(0.1, 1.9, 7)
     # the Frenet-frame route reproduces the same constant rulings
-    assert np.max(np.abs(quarter.upper_strip.ruling(s) - XI_UPPER)) < 1e-12
-    assert np.max(np.abs(quarter.lower_strip.ruling(s) - XI_LOWER)) < 1e-12
+    assert np.max(np.abs(quarter.upper_strip.ruling(s)
+                         - quarter.xi_upper)) < 1e-12
+    assert np.max(np.abs(quarter.lower_strip.ruling(s)
+                         - quarter.xi_lower)) < 1e-12
 
 
 def test_quarter_surface_structure():
@@ -62,7 +63,8 @@ def test_quarter_ruling_angle_value():
 
 
 def test_box_topology_and_volume():
-    box = assemble_box(FundamentalData.demo(), n_s=24, n_v=12)
+    box = assemble_box(QuarterParametrization(FundamentalData.demo()),
+                       n_s=24, n_v=12)
     topo = topology_report(box)
     assert topo.closed
     assert topo.euler == 2
@@ -77,8 +79,9 @@ def test_box_topology_and_volume():
 
 
 def box_volume(data, n_s, n_v) -> float:
-    topo = topology_report(assemble_box(data, n_s, n_v),
-                           count_intersections=False)
+    topo = topology_report(
+        assemble_box(QuarterParametrization(data), n_s, n_v),
+        count_intersections=False)
     assert topo.volume_valid
     return topo.volume
 
@@ -104,11 +107,23 @@ def test_box_scales_with_profile():
     assert v_small < v_full
 
 
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(admissible_data(), st.floats(0.0, 0.95))
+def test_folded_boxes_weld_their_horizontal_end(data, t):
+    # the folded horizontal end is z = zeta - zeta = 0 except at the two
+    # end columns, whose snapped heights leave |zeta(0)|, |zeta(L)| <= BC_TOL
+    for box in (assemble_box(QuarterParametrization(data), 8, 4),
+                assemble_pattern_scaled(data, t, 8, 4)[1]):
+        report = box.weld_report
+        assert report["horizontal_end"] == "welded"
+        assert report["worst_gap"]["horizontal_end"] <= 2.0 * BC_TOL
+
+
 def test_weld_failure_on_open_profile():
     # nonzero endpoint heights leave the four copies apart at the corners
     bad = FundamentalData(1.0, ProfileFunction.polynomial([0.3], 2.0))
     with pytest.raises(WeldFailure):
-        assemble_box(bad, n_s=8, n_v=4)
+        assemble_box(QuarterParametrization(bad), n_s=8, n_v=4)
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)

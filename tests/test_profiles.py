@@ -163,8 +163,7 @@ def test_validate_demo_data_passes():
     names = [e["name"] for e in report.entries]
     assert names == ["endpoints-zero", "interior-positive", "below-b",
                      "concave", "slope-margin", "endpoint-slope"]
-    gating = {e["name"]: e for e in report.entries if e["gating"]}
-    assert all(e["passed"] for e in gating.values())
+    assert all(e["passed"] for e in report.entries)
     d = report.to_dict()
     assert d["valid"] and d["n_samples"] == 99
 
@@ -202,7 +201,7 @@ def test_validate_end_slope_threshold(excess, valid):
     report = validate_fundamental_data(
         1.0, ProfileFunction.polynomial([0.0, a, -0.5 * a], 2.0))
     entry = next(e for e in report.entries if e["name"] == "endpoint-slope")
-    assert entry["gating"] and entry["passed"] == valid
+    assert entry["passed"] == valid
     assert abs(entry["margin"] + excess * BC_TOL) < 1e-15
     assert report.valid == valid
 

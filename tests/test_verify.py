@@ -11,7 +11,7 @@ from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
 from pillowfold.errors import CollinearSamples, DegenerateMetric, GridTooCoarse
 from pillowfold.mesh import (TriMesh, assemble_reflected,
                              self_intersection_pairs)
-from pillowfold.pillowbox import assemble_box
+from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import (TOLERANCES, certify, check_crease_planarity,
                                check_flatness, check_isometry, topology_report)
@@ -174,7 +174,8 @@ def test_topology_report_cube_and_box():
     assert topo.volume_valid and topo.volume == 1.0
     json.dumps(topo.to_dict())
 
-    box = assemble_box(FundamentalData.demo(), 16, 8)
+    box = assemble_box(QuarterParametrization(FundamentalData.demo()), 16,
+                       8)
     topo = topology_report(box)
     assert topo.closed and topo.euler == 2 and topo.volume > 0.0
 
@@ -187,8 +188,10 @@ _DRIFT = DeformationSchedule.from_table([0.0, 0.5, 1.0], [1.0, 0.6, 0.0],
     (DeformationSchedule.linear(), 3), (DeformationSchedule.cosine(), 3),
     (_DRIFT, 4)])
 def test_certify_builds_each_state_once(monkeypatch, schedule, meshes):
-    # seven states, the box and the dichotomy strip: nine quarters.  The
-    # t = 0 state is meshed apart from the box only when it drifts.
+    # one folded quarter for the box, the dichotomy strip and the t = 0
+    # state, and one per other state: seven quarters.  A drifting t = 0
+    # state is a quarter and a mesh of its own.
+    drifts = meshes - 3
     counts = {"quarters": 0, "meshes": 0}
     init = DeformedQuarter.__init__
 
@@ -206,7 +209,7 @@ def test_certify_builds_each_state_once(monkeypatch, schedule, meshes):
         for module in (deformation, pillowbox):
             mp.setattr(module, "assemble_reflected", counted_assembly)
         reports = certify(data, schedule, 8, 4, 1e-3, TOLERANCES)
-    assert counts == {"quarters": 9, "meshes": meshes}
+    assert counts == {"quarters": 7 + drifts, "meshes": meshes}
     assert all(r.passed for r in reports)
     # the t = 0 entry is that of a mesh of its own, reused or not
     topo = topology_report(
