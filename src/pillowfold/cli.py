@@ -105,7 +105,10 @@ def _artifact(out_dir: str | None, name: str) -> str | None:
 
 
 def _fmt_t(t: float) -> str:
-    return format(float(t), "g").replace("-", "m").replace(".", "p")
+    """t in an artifact name: the shortest text that reads back as the same
+    float, a trailing '.0' dropped, so distinct t give distinct names."""
+    text = repr(float(t)).removesuffix(".0")
+    return text.replace("-", "m").replace(".", "p")
 
 
 # ---------------------------------------------------------------------------

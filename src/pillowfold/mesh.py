@@ -490,32 +490,68 @@ def min_triangle_area_check(mesh: TriMesh) -> None:
 # File emission
 # ---------------------------------------------------------------------------
 
-_OBJ_BLOCK = 4096          # OBJ records per %-format
+_OBJ_BLOCK = 4096          # OBJ records assembled per write
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _coordinate_text(vertices: np.ndarray) -> tuple:
+    """(table, rows): each distinct coordinate as '%.9g' text, NUL-padded to
+    a fixed width, and each vertex's three indices into that table.
+
+    Values are told apart by their bits, so -0.0 keeps its sign; each is
+    formatted once, by Python's own '%.9g'."""
+    bits = vertices.view(np.int64).reshape(-1)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    table = np.array(["%.9g" % x for x in distinct.view(np.float64).tolist()],
+                     dtype="S")
+    return table, inverse.reshape(-1, 3)
+
+
+def _index_text(n: int) -> np.ndarray:
+    """b'1' .. b'n' as decimal digits, NUL-padded on the left to one width."""
+    k = np.arange(1, n + 1)[:, None]
+    powers = 10 ** np.arange(len(str(n)) - 1, -1, -1)
+    digits = (k // powers % 10 + ord("0")).astype(np.uint8)
+    digits[k < powers] = 0
+    return digits.view(f"S{powers.size}").reshape(-1)
+
+
+def _records(tag: bytes, table: np.ndarray, rows: np.ndarray) -> bytes:
+    """One record 'tag a b c' per row of table indices, LF-terminated:
+    fixed-width fields whose NUL padding is dropped."""
+    text = f"S{table.dtype.itemsize}"
+    out = np.zeros(len(rows), dtype=[("tag", "S2"), ("a", text), ("_a", "S1"),
+                                     ("b", text), ("_b", "S1"), ("c", text),
+                                     ("_c", "S1")])
+    out["tag"] = tag
+    out["_a"] = out["_b"] = b" "
+    out["_c"] = b"\n"
+    out["a"], out["b"], out["c"] = table[rows.T]
+    return out.tobytes().translate(None, b"\0")
+
+
 def export_obj(mesh: TriMesh, path) -> None:
     """ASCII OBJ, v/f records, 1-based indices, 9 significant digits.
 
-    Records go out in blocks of _OBJ_BLOCK, each one %-format over the flat
-    list of its numbers; '%.9g' and '%d' give the same text as the format
-    spec '.9g' and str, so the bytes are those of one f-string per record.
-    Blocks keep the Python numbers and text of one block alive at a time,
-    not those of the whole mesh."""
+    The bytes are those of one f-string per record ('v {x:.9g} {y:.9g}
+    {z:.9g}', 'f {a} {b} {c}'), with LF line ends on every platform. Each
+    distinct coordinate is formatted once and each index 1..n_vertices is
+    written once, as array code; records are gathered from those texts in
+    blocks of _OBJ_BLOCK, so no more than one block's records are held at
+    once."""
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# pillowfold triangle mesh\n")
+        with open(path, "wb") as fh:
+            fh.write(b"# pillowfold triangle mesh\n")
+            table, rows = _coordinate_text(mesh.vertices)
             for start in range(0, mesh.n_vertices, _OBJ_BLOCK):
-                block = mesh.vertices[start:start + _OBJ_BLOCK]
-                fh.write(("v %.9g %.9g %.9g\n" * len(block))
-                         % tuple(block.ravel().tolist()))
+                fh.write(_records(b"v ", table, rows[start:start + _OBJ_BLOCK]))
+            labels = _index_text(mesh.n_vertices)
             for start in range(0, mesh.n_faces, _OBJ_BLOCK):
-                block = mesh.faces[start:start + _OBJ_BLOCK] + 1
-                fh.write(("f %d %d %d\n" * len(block))
-                         % tuple(block.ravel().tolist()))
+                fh.write(_records(b"f ", labels,
+                                  mesh.faces[start:start + _OBJ_BLOCK]))
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

@@ -238,6 +238,24 @@ def test_family_pattern_scaling_flag_is_optional(capsys):
     assert json.loads(bare)["rows"]
 
 
+def test_artifact_names_spell_t_so_distinct_t_get_distinct_files(capsys,
+                                                                  tmp_path):
+    # 0.1000001 and 0.1000002 agree to six significant digits
+    out = tmp_path / "fam"
+    rc, payload, _ = run_cli(capsys, "family", "--pattern-scaling",
+                             "--grid", "8x4", "--out", str(out), "--t-values",
+                             "0,1e-05,0.37,0.5,0.1000001,0.1000002")
+    assert rc == 0
+    names = ["family_t0.obj", "family_t1em05.obj", "family_t0p37.obj",
+             "family_t0p5.obj", "family_t0p1000001.obj",
+             "family_t0p1000002.obj"]
+    assert payload["artifacts"] == [str(out / n) for n in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    rc, payload, _ = run_cli(capsys, "deform", "--t", "1", "--grid", "8x4",
+                             "--out", str(out))
+    assert payload["artifacts"] == [str(out / "deformed_t1.obj")]
+
+
 def test_family_reports_but_does_not_gate_volume_order(capsys, tmp_path):
     # pattern scaling raises this box's volume from t = 0 to t = 0.05
     box = tmp_path / "hyperbolic.json"

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 import pillowfold.mesh as mesh_module
 from pillowfold.deformation import (DeformationSchedule, assemble_deformed,
@@ -502,6 +503,81 @@ def test_obj_matches_the_fstring_writer(tmp_path):
         export_obj(mesh, path)
         assert path.read_bytes() == oc.fstring_obj(
             mesh.vertices, mesh.faces).encode("ascii")
+
+
+def _writes_fstring_bytes(mesh: TriMesh, path) -> bool:
+    export_obj(mesh, path)
+    return path.read_bytes() == oc.fstring_obj(
+        mesh.vertices, mesh.faces).encode("ascii")
+
+
+# values that '%.9g' spells in every way it can: signed zeros, subnormals,
+# the extremes, infinities, NaN of either sign, and both sides of its switch
+# to exponent notation (below 1e-4, from 1e9 up, and where rounding to nine
+# digits crosses it)
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan,
+                   1e-4, -1e-4, 9.999999999e-5, 9.9999999949e-5,
+                   0.00010000000005, 1e-5, 1e9, -1e9, 999999999.0,
+                   999999999.4, 999999999.5, 1e9 + 0.5, 123456789.0, 1e21]
+
+
+def _bits_to_float(k: int) -> float:
+    return float(np.array([k], dtype=np.uint64).view(np.float64)[0])
+
+
+_coordinates = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                         st.floats(allow_nan=True, allow_infinity=True),
+                         st.integers(0, 2 ** 64 - 1).map(_bits_to_float))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pool=st.lists(_coordinates, min_size=1, max_size=24),
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=3, max_size=90))
+@example(pool=_SPECIAL_FLOATS, picks=list(range(3 * len(_SPECIAL_FLOATS))))
+def test_obj_writer_matches_the_fstring_writer_on_any_coordinates(
+        pool, picks, tmp_path):
+    # coordinates picked from a small pool, so values repeat within and
+    # across vertices
+    n = len(picks) // 3
+    vertices = np.array([pool[k % len(pool)] for k in picks[:3 * n]])
+    faces = np.array([[k, (k + 1) % n, n - 1] for k in range(n)])
+    assert _writes_fstring_bytes(TriMesh(vertices.reshape(n, 3), faces),
+                                 tmp_path / "m.obj")
+
+
+@pytest.mark.parametrize("n", [9, 10, 99, 100, 9999, 10000])
+@settings(derandomize=True, max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_obj_indices_across_digit_boundaries(n, data, tmp_path):
+    index = st.integers(0, n - 1)
+    faces = data.draw(st.lists(st.tuples(index, index, index), max_size=40))
+    faces.append((n - 1, 0, n - 1))
+    vertices = np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3)
+    assert _writes_fstring_bytes(TriMesh(vertices, np.array(faces)),
+                                 tmp_path / "m.obj")
+
+
+def test_obj_of_vertices_without_faces(tmp_path):
+    v, _ = oc.unit_cube_mesh()
+    mesh = TriMesh(v, np.zeros((0, 3), dtype=np.int64))
+    assert _writes_fstring_bytes(mesh, tmp_path / "m.obj")
+    assert oc.load_obj(tmp_path / "m.obj").n_vertices == 8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_obj_block_edges(k, monkeypatch, tmp_path):
+    block = 4
+    monkeypatch.setattr(mesh_module, "_OBJ_BLOCK", block)
+    for n_vertices in (k * block - 1, k * block, k * block + 1):
+        vertices = np.arange(3.0 * n_vertices).reshape(-1, 3) / 7.0
+        for n_faces in (k * block - 1, k * block, k * block + 1):
+            faces = np.arange(3 * n_faces).reshape(-1, 3) % n_vertices
+            assert _writes_fstring_bytes(TriMesh(vertices, faces),
+                                         tmp_path / "m.obj")
 
 
 def test_orientation_of_closed_meshes_with_one_flipped_face():
