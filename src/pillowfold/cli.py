@@ -64,11 +64,18 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_numbers(text: str) -> list[float]:
+    """Distinct comma-separated numbers: two equal values would make two
+    family members that share one artifact name."""
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from exc
+    for k, x in enumerate(values):
+        if x in values[:k]:
+            raise argparse.ArgumentTypeError(
+                f"value {x!r} is repeated in {text!r}")
+    return values
 
 
 def _parse_tol(pairs, parser) -> dict:

@@ -12,6 +12,14 @@ column interval of the quad it came from, and a piece, the reflected quarter
 faces of one slab in different pieces, which loses no hit: x depends on s
 alone, so faces of different slabs meet at most in a shared column plane,
 where their column edges cross in points; and each piece is embedded.
+
+Before its sort and sweep, the broad phase keeps only the live faces: those
+whose box meets, within eps, the box around all faces of some other piece in
+their slab.  No pair is lost: if the boxes of faces i and j overlap, then
+i's box meets the box of j's group, and j's box that of i's.  On a folded
+box (lam = 1) the live faces are those with a corner on a weld, in y = b or
+z = 0, about one face in eighteen at 96x48.  Unlabelled meshes skip the
+pruning: each of their faces is its own piece, so no face can be dropped.
 """
 
 from __future__ import annotations
@@ -313,11 +321,53 @@ def assemble_reflected(X, s_values, b: float, n_v: int) -> TriMesh:
 
 
 # ---------------------------------------------------------------------------
-# Self-intersection: slab/piece sort and sweep, then Moller's interval test,
-# which counts contacts along an edge as hits
+# Self-intersection: live faces, a slab/piece sort and sweep over them, then
+# Moller's interval test, which counts contacts along an edge as hits
 # ---------------------------------------------------------------------------
 
 _NARROW_CHUNK = 1 << 16    # y-sweep candidates per batch, bounds memory
+
+
+def _live_faces(lo: np.ndarray, hi: np.ndarray, slab: np.ndarray,
+                piece: np.ndarray) -> np.ndarray:
+    """Ascending indices of the live faces: those whose box [lo, hi], given
+    as (3, F) arrays, meets on every axis the group box of some other piece
+    in their slab, the box around the boxes of that (slab, piece) group.
+
+    One lexsort puts each group's faces in a run, and each group's box is a
+    reduceat over its run.  Each face is then tested against the k-th other
+    group of its slab, for each k; an empty box stands in where its slab
+    has fewer groups.  Slab and piece ids may be any integers, in any order.
+    """
+    n = lo.shape[1]
+    order = np.lexsort((piece, slab))
+    s, p = slab.take(order), piece.take(order)
+    new_slab = np.r_[True, s[1:] != s[:-1]]
+    starts = np.flatnonzero(new_slab | np.r_[True, p[1:] != p[:-1]])
+    n_groups = len(starts)
+    # the groups of a slab are the run [begin, end) of group indices
+    heads = new_slab[starts]
+    first = np.flatnonzero(heads)
+    slab_of = np.cumsum(heads) - 1
+    begin, end = first[slab_of], np.append(first[1:], n_groups)[slab_of]
+    others = begin + np.arange(np.max(end - begin) - 1)[:, None]
+    others += others >= np.arange(n_groups)
+    others[others >= end] = n_groups
+    lo, hi = (np.take(np.ascontiguousarray(a), order, axis=1)
+              for a in (lo, hi))
+    box_lo = np.full((3, n_groups + 1), np.inf)
+    box_hi = np.full((3, n_groups + 1), -np.inf)
+    box_lo[:, :-1] = np.minimum.reduceat(lo, starts, axis=1)
+    box_hi[:, :-1] = np.maximum.reduceat(hi, starts, axis=1)
+    sizes = np.diff(np.append(starts, n))
+    live = np.zeros(n, dtype=bool)
+    for row in others:
+        live |= np.all((lo <= np.repeat(box_hi[:, row], sizes, axis=1))
+                       & (np.repeat(box_lo[:, row], sizes, axis=1) <= hi),
+                       axis=0)
+    mask = np.zeros(n, dtype=bool)
+    mask[order] = live
+    return np.flatnonzero(mask)
 
 
 def _box_pairs(lo: np.ndarray, hi: np.ndarray, labels: np.ndarray | None,
@@ -325,20 +375,29 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, labels: np.ndarray | None,
     """Yield batches (i, j), i < j, of the face pairs in one slab and in
     different pieces whose boxes [lo, hi] overlap within eps on every axis.
 
-    Sort and sweep (Ericson, Real-Time Collision Detection, 2004, 7.5): the
-    faces are sorted by (slab, lo_y), so each face meets the run of later
-    faces of its slab with lo_y <= hi_y + eps.  Runs are expanded about
-    _NARROW_CHUNK pairs at a time and filtered on z, x and piece.  Without
-    labels all faces form one slab and each is its own piece, so every
-    overlapping pair is yielded.
+    With labels, the faces are first pruned to the live ones (_live_faces),
+    compared against the same hi + eps bounds as the sweep: a face whose box
+    meets no other piece's group box in its slab overlaps no face of another
+    piece there, so pruning it loses no pair.  Then sort and sweep (Ericson,
+    Real-Time Collision Detection, 2004, 7.5): the faces left are sorted by
+    (slab, lo_y), so each face meets the run of later faces of its slab with
+    lo_y <= hi_y + eps.  Runs are expanded about _NARROW_CHUNK pairs at a
+    time and filtered on z, x and piece, and indices map back to the input
+    faces.  Without labels all faces form one slab and each is its own
+    piece, so nothing is pruned and every overlapping pair is yielded.
     """
     n = len(lo)
     slab, piece = (np.zeros(n), np.arange(n)) if labels is None else labels.T
+    lo, hi = lo.T, hi.T + eps
+    faces = (np.arange(n) if labels is None or n < 2
+             else _live_faces(lo, hi, slab, piece))
     # complex numbers sort by real part, then imaginary: keys (slab, lo_y)
-    key = slab + 1j * lo[:, 1]
-    order = np.argsort(key, kind="stable")
-    key, piece = key[order], piece[order]
-    lo, hi = lo[order].T, hi[order].T + eps
+    key = slab[faces] + 1j * lo[1, faces]
+    by_key = np.argsort(key, kind="stable")
+    order = faces[by_key]
+    key, piece = key[by_key], piece[order]
+    lo, hi = np.take(lo, order, axis=1), np.take(hi, order, axis=1)
+    n = len(order)
     # the run of p: later faces up to the last of p's slab with lo_y <= hi_y
     # (eps included); it starts at p + 1, as key[p] is within the bound
     count = np.searchsorted(key, key.real + 1j * hi[1], side="right") \
@@ -351,8 +410,9 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, labels: np.ndarray | None,
                                      side="right")), p0 + 1)
         p = np.repeat(np.arange(p0, p1), count[p0:p1])
         q = p + 1 + np.arange(first[p0], cum[p1 - 1]) - first[p]
-        for axis in (2, 0):
-            keep = (lo[axis, q] <= hi[axis, p]) & (lo[axis, p] <= hi[axis, q])
+        for lo_a, hi_a in (lo[2], hi[2]), (lo[0], hi[0]):
+            keep = (lo_a.take(q) <= hi_a.take(p)) \
+                & (lo_a.take(p) <= hi_a.take(q))
             p, q = p[keep], q[keep]
         keep = piece[p] != piece[q]
         i, j = order[p[keep]], order[q[keep]]
@@ -365,7 +425,9 @@ def self_intersection_pairs(mesh: TriMesh) -> list:
     along a segment longer than eps = _CONTACT_FACTOR x the mesh diagonal.
 
     Broad phase: _box_pairs over the face labels, on boxes taken over each
-    face's three corners.  Two filters then drop pairs that cannot hit: pairs
+    face's three corners; it sweeps only the live faces, those whose box
+    meets another piece's faces' box in their slab, and sweeps every face of
+    an unlabelled mesh.  Two filters then drop pairs that cannot hit: pairs
     of level faces at one z (below), and pairs that share a vertex index.
     Narrow phase, in batches: Moller's interval test (_tri_tri_batch), which
     counts triangles that cross transversally and also triangles that touch
@@ -385,9 +447,10 @@ def self_intersection_pairs(mesh: TriMesh) -> list:
     P = mesh.corners()                     # (F, 3, 3)
     if mesh.n_faces < 2 or np.all(P[:, :, 2] == P[0, 0, 2]):
         return []
-    p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
-    lo = np.minimum(np.minimum(p0, p1), p2)
-    hi = np.maximum(np.maximum(p0, p1), p2)
+    # bounds as C-ordered (axis, face) rows, the layout _box_pairs works in
+    p0, p1, p2 = P.transpose(1, 2, 0)
+    lo = np.minimum(np.minimum(p0, p1), p2, order="C").T
+    hi = np.maximum(np.maximum(p0, p1), p2, order="C").T
     z0, z1, z2 = P[:, :, 2].T
     level_z = np.where((z0 == z1) & (z1 == z2), z0, np.nan)
     normal, length = mesh.face_normals()

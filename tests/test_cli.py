@@ -256,6 +256,21 @@ def test_artifact_names_spell_t_so_distinct_t_get_distinct_files(capsys,
     assert payload["artifacts"] == [str(out / "deformed_t1.obj")]
 
 
+@pytest.mark.parametrize("t_values, repeated", [
+    ("0.5,0.5", "0.5"), ("0,0.25,0.250", "0.25"), ("0,-0", "-0.0")])
+def test_family_refuses_a_repeated_t_value(t_values, repeated, capsys,
+                                           tmp_path):
+    # equal t would make two members share one artifact name: a usage
+    # error that names the value, raised before anything is written
+    out = tmp_path / "fam"
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--pattern-scaling", "--grid", "8x4", "--out",
+              str(out), "--t-values", t_values])
+    assert exc.value.code == 2
+    assert f"value {repeated} is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_family_reports_but_does_not_gate_volume_order(capsys, tmp_path):
     # pattern scaling raises this box's volume from t = 0 to t = 0.05
     box = tmp_path / "hyperbolic.json"

@@ -233,16 +233,61 @@ def triangle_soups(draw) -> TriMesh:
 @given(triangle_soups())
 def test_self_intersection_pairs_match_oracle_on_soups(mesh):
     _pairs_checked_by_oracle(mesh)
-    # unlabelled: every box pair that overlaps within eps
-    _broad_phase_checked_by_scan(mesh, None)
-    # three slabs of two pieces each, interleaved across the face order
     k = np.arange(mesh.n_faces)
-    labels = np.stack([k % 3, k // 3 % 2], axis=1)
-    _broad_phase_checked_by_scan(mesh, labels)
+    shuffled = np.random.default_rng(mesh.n_faces).permutation(mesh.n_faces)
+    label_sets = [
+        # unlabelled: every box pair that overlaps within eps
+        None,
+        # three slabs of two pieces each, interleaved across the face order
+        np.stack([k % 3, k // 3 % 2], axis=1),
+        # sparse ids: slabs {0, 5, 9}, pieces {1, 3}
+        np.stack([np.array([0, 5, 9])[k % 3], np.array([1, 3])[k // 3 % 2]],
+                 axis=1),
+        # ids in no order along the faces, negative and far apart
+        np.stack([np.array([9, -2, 4])[shuffled % 3],
+                  np.array([7, 10**12, -5])[shuffled // 3 % 3]], axis=1),
+        # groups missing: slab 0 holds pieces 1, 3 and 4, slab 5 pieces 1
+        # and 3, slab 9 piece 1 alone
+        np.stack([np.array([0, 5, 9])[k % 3],
+                  np.array([[1, 3, 4], [1, 3, 3], [1, 1, 1]])[k % 3,
+                                                             k // 3 % 3]],
+                 axis=1),
+    ]
+    for labels in label_sets:
+        _broad_phase_checked_by_scan(mesh, labels)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesh_module, "_NARROW_CHUNK", 3)
-        _broad_phase_checked_by_scan(mesh, None)
-        _broad_phase_checked_by_scan(mesh, labels)
+        for labels in label_sets:
+            _broad_phase_checked_by_scan(mesh, labels)
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_broad_phase_keeps_boxes_that_meet_at_eps(beyond):
+    # face 1's box starts at face 0's hi_x + eps, or one ulp beyond it; two
+    # unused vertices fix the diagonal, hence eps.  At eps the boxes overlap,
+    # so the pre-pass must keep both faces; one ulp beyond, neither pairs
+    verts = np.zeros((8, 3))
+    verts[1] = 10.0
+    eps = _CONTACT_FACTOR * TriMesh(verts, np.zeros((0, 3))).diagonal()
+    x = 1.0 + eps
+    if beyond:
+        x = np.nextafter(x, np.inf)
+    verts[2:] = [[0, 0, 0], [1, 0, 0], [0, 1, 1], [x, 0, 0], [x + 1, 0, 0],
+                 [x, 1, 1]]
+    mesh = TriMesh(verts, np.array([[2, 3, 4], [5, 6, 7]]))
+    labels = np.array([[0, 0], [0, 1]])
+    _broad_phase_checked_by_scan(mesh, labels)
+    P = mesh.corners()
+    found = [len(i) for i, _ in _box_pairs(P.min(axis=1), P.max(axis=1),
+                                           labels, eps)]
+    assert sum(found) == (not beyond)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_labelled_broad_phase_of_fewer_than_two_faces(n):
+    box = np.zeros((n, 3))
+    assert sum(len(i) for i, _ in _box_pairs(box, box, np.zeros((n, 2), int),
+                                             1e-9)) == 0
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)
@@ -262,6 +307,49 @@ def test_labelled_broad_phase_on_admissible_states(data, t_open):
         assert np.all(lo_x < hi_x) and np.all(hi_x[:-1] <= lo_x[1:])
         assert bool(_pairs_checked_by_oracle(mesh)) == (t == t_open)
         _broad_phase_checked_by_scan(mesh, mesh.face_labels)
+        if t == 0.0:
+            # each folded face the sweep sees has a corner in a weld plane
+            assert np.all(np.isin(_swept_faces(mesh),
+                                  _faces_with_a_weld_corner(mesh, data.b)))
+
+
+def _swept_faces(mesh: TriMesh) -> np.ndarray:
+    """The faces self_intersection_pairs hands to the sweep: the live ones,
+    whose boxes meet another piece's faces' box in their slab."""
+    seen = []
+    live_faces = mesh_module._live_faces
+
+    def spy(*args):
+        seen.append(live_faces(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_live_faces", spy)
+        self_intersection_pairs(mesh)
+    [faces] = seen
+    return faces
+
+
+def _faces_with_a_weld_corner(mesh: TriMesh, b: float) -> np.ndarray:
+    """Faces with a corner within the weld tolerance of y = b or z = 0."""
+    tol = mesh.weld_report["tol"]
+    y, z = mesh.vertices[:, 1], mesh.vertices[:, 2]
+    near = (np.abs(y - b) <= tol) | (np.abs(z) <= tol)
+    return np.flatnonzero(near[mesh.faces].any(axis=1))
+
+
+@pytest.mark.parametrize("data", [
+    FundamentalData.demo(),
+    FundamentalData(0.6, ProfileFunction.circular(2.0, 2.0)),
+], ids=["demo", "circular"])
+@pytest.mark.parametrize("grid", [(12, 6), (48, 24)])
+def test_folded_box_sweeps_exactly_the_faces_on_a_weld(data, grid):
+    # at lam = 1 each piece meets the others only in the weld planes y = b
+    # and z = 0, so the sweep sees just the faces with a corner there
+    box = assemble_box(QuarterParametrization(data), *grid)
+    swept = _swept_faces(box)
+    assert np.array_equal(swept, _faces_with_a_weld_corner(box, data.b))
+    assert 0 < len(swept) < box.n_faces
 
 
 def _narrow_phase_input(mesh: TriMesh) -> list:
