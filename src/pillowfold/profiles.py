@@ -288,6 +288,10 @@ class _MonotoneMap:
     A cumulative table seeds interpolation; forward values are corrected by
     fixed-order quadrature within a table cell and the inverse is polished by
     a few Newton steps, so both directions are deterministic and vectorize.
+    Each Newton step calls the rate once: its Gauss integrand evaluates the
+    rate on the nodes and on u together, and keeps the values at u for the
+    step's slope.  The rate is elementwise, so every value has the bits of a
+    call of its own.
     """
 
     def __init__(self, rate, span: float):
@@ -299,18 +303,33 @@ class _MonotoneMap:
             raise NonMonotone("cumulative rate is not strictly increasing")
         self.total = float(self.table[-1])
 
-    def forward(self, u):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, self.span)
+    def _forward(self, u, rate):
+        """forward at u in [0, span], with rate as the Gauss integrand."""
         k = np.clip(np.searchsorted(self.grid, u, side="right") - 1,
                     0, len(self.grid) - 2)
-        return self.table[k] + gauss_segments(self.rate, self.grid[k], u)
+        return self.table[k] + gauss_segments(rate, self.grid[k], u)
+
+    def forward(self, u):
+        return self._forward(np.clip(np.asarray(u, dtype=float), 0.0,
+                                     self.span), self.rate)
+
+    def _newton_step(self, u, x):
+        """u - (forward(u) - x) / rate(u), clipped, from one rate call."""
+        at_u = []
+
+        def nodes_and_u(nodes):
+            values = self.rate(np.concatenate([nodes, np.ravel(u)]))
+            at_u.append(values[nodes.size:].reshape(np.shape(u)))
+            return values[:nodes.size]
+
+        forward = self._forward(u, nodes_and_u)
+        return np.clip(u - (forward - x) / at_u[0], 0.0, self.span)
 
     def inverse(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.total)
         u = np.interp(x, self.table, self.grid)
         for _ in range(3):
-            u = np.clip(u - (self.forward(u) - x) / self.rate(u),
-                        0.0, self.span)
+            u = self._newton_step(u, x)
         return u
 
 

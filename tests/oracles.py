@@ -15,7 +15,10 @@ the assembly oracle, which calls the library's surface map and tolerance
 factors but samples, triangulates and welds with plain loops and a
 union-find; the separate-call Simpson oracle, the batched adaptive
 Simpson with one integrand call per point array, against which the library's
-one-call-per-sweep version must agree to the bit; and the measured metric,
+one-call-per-sweep version must agree to the bit; the separate-call Newton
+inverse, a monotone map's three Newton steps with one forward and one rate
+call each, against which the library's one-rate-call step must agree to the
+bit; and the measured metric,
 centred differences of a library strip's embedding.  Helix is the one
 twisted crease the Frenet kernel is tested on, in closed form, and load_obj
 reads the library's OBJ output back.  nested_pattern_scaling builds a
@@ -77,6 +80,20 @@ FAMILY_T = (0.0, 0.25, 0.5, 0.75, 0.95)
 FAMILY_VOLUMES_48x24 = (1.1590975918785444, 1.0440287501043264,
                         0.8015266080464648, 0.44907529991043105,
                         0.09687267732713974)
+
+# `family_members` rows at 24x12 for t = 0, 0.5, 0.9: frozen library
+# (volume, width, width_gap) per t, taken when each member's topology still
+# counted the box's self-intersections; on the demo and on the tabulated box
+# b = 0.5, s = [0, 0.5, 1, 1.5, 2], values [0, 0.2, 0.27, 0.2, 0]
+FAMILY_ROWS_T = (0.0, 0.5, 0.9)
+FAMILY_ROWS_24x12 = {
+    "demo": ((1.157208926271835, 1.7627471740390896, 0.0),
+             (0.8005018449224077, 1.7627471740390854, 4.218847493575595e-15),
+             (0.19008052869304856, 1.7627471740390834, 6.217248937900877e-15)),
+    "table": ((0.37517404492469525, 1.9001490397062686, 0.0),
+              (0.2680898163582641, 1.9001490397062708, 2.220446049250313e-15),
+              (0.06604266456089651, 1.9001490397062677, 8.881784197001252e-16)),
+}
 
 
 def demo_zeta(s, order: int = 0):
@@ -198,6 +215,17 @@ def nested_pattern_scaling(data, t):
         lambda x, order: (1.0 - t) * np.asarray(psi.eval(x, order)))
     return FundamentalData(
         data.b, graph_to_arclength_profile(scaled, "plane-crease")[1])
+
+
+def newton_inverse(travel, x):
+    """travel.inverse(x) with a separate forward and rate call per Newton
+    step: table interpolation, then three clipped Newton steps."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, travel.total)
+    u = np.interp(x, travel.table, travel.grid)
+    for _ in range(3):
+        u = np.clip(u - (travel.forward(u) - x) / travel.rate(u),
+                    0.0, travel.span)
+    return u
 
 
 def central_diff(fn, x, h: float):

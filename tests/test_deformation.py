@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillowfold import verify
 from pillowfold.curves import ProfileCrease
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     admissibility_margin, assemble_deformed,
@@ -388,6 +389,24 @@ def test_demo_family_rows_are_pinned():
     assert len(rows) == len(oc.FAMILY_T)
     for row, want in zip(rows, oc.FAMILY_VOLUMES_48x24):
         assert abs(row["volume"] / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name, data", [
+    ("demo", FundamentalData.demo()),
+    ("table", FundamentalData(0.5, ProfileFunction.tabulated(
+        [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.2, 0.27, 0.2, 0.0]))),
+])
+def test_family_rows_need_no_intersection_test(monkeypatch, name, data):
+    def refuse(mesh):
+        raise AssertionError("family_members ran the intersection test")
+    monkeypatch.setattr(verify, "self_intersection_pairs", refuse)
+    got = [(row, passed) for row, _, passed in family_members(
+        data, oc.FAMILY_ROWS_T, 24, 12)]
+    want = [({"t": t, "closed": True, "euler": 2, "volume": volume,
+              "width": width, "width_gap": gap}, True)
+            for t, (volume, width, gap) in zip(oc.FAMILY_ROWS_T,
+                                               oc.FAMILY_ROWS_24x12[name])]
+    assert got == want
 
 
 def test_sweep_trace_rows():

@@ -5,14 +5,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pillowfold.errors import (DomainError, IoError, NonFiniteEvaluation,
                                NonMonotone)
 from pillowfold.profiles import (BC_TOL, FundamentalData, ProfileFunction,
-                                 graph_to_arclength_profile,
+                                 graph_to_arclength_profile, reparametrized,
                                  validate_fundamental_data)
 
 import oracles as oc
+from strategies import admissible_data
 
 
 def test_hyperbolic_demo_values():
@@ -236,3 +238,20 @@ def test_graph_to_arclength_space_mode():
     assert abs(zeta_hat.eval(L / 2.0, 0) - 0.2) < 1e-9
     with pytest.raises(DomainError):
         graph_to_arclength_profile(g, "diagonal")
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(admissible_data(), st.sampled_from(["pattern", "scaled", "graph",
+                                           "crease"]),
+       st.floats(0.0, 1.0, exclude_min=True),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_inverse_has_the_bits_of_separate_newton_calls(data, which, c, at):
+    # k = -1 (pattern), c^2 - 1 (scaled pattern), 1 (graph), 2 (crease)
+    k = {"pattern": -1.0, "scaled": c * c - 1.0, "graph": 1.0,
+         "crease": 2.0}[which]
+    travel = reparametrized(data.zeta, k, c, kind="reparam").travel
+    x = np.concatenate([[0.0, travel.total], travel.table,
+                        travel.total * np.asarray(at)])
+    assert np.array_equal(travel.inverse(x), oc.newton_inverse(travel, x))
+    assert np.array_equal(travel.inverse(x[-1]),
+                          oc.newton_inverse(travel, x[-1]))
