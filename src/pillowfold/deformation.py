@@ -28,7 +28,6 @@ from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
 
 _T_TOL = 1e-12
 _SCHEDULE_T_SAMPLES = 21    # even t samples of a schedule's fold margin
-_DEPTH_SAMPLES = 4001       # even s samples of the horizontal end's depth
 
 XI_LOWER = np.array([0.0, -1.0, 0.0])
 
@@ -240,14 +239,13 @@ def horizontal_end_depth(data: FundamentalData, lam: float) -> float:
     """Most negative z on the horizontal end: the closure obstruction.
 
     Zero exactly at lam in {0, 1}; strictly negative for lam in (0, 1) since
-    zeta > 0 somewhere.
+    zeta > 0 somewhere.  The coefficient is <= 0 on [0, 1], so the minimum
+    of coefficient * zeta is the coefficient times max zeta, read from the
+    one sampled maximum, data.max_height().
     """
     if not np.isfinite(lam) or lam < 0.0 or lam > 1.0 + 1e-12:
         raise DomainError(f"fold parameter must lie in [0, 1], got {lam}")
-    coeff = depth_coefficient(lam)
-    s = np.linspace(0.0, data.length, _DEPTH_SAMPLES)
-    z0 = np.asarray(data.zeta.eval(s, 0))
-    return float(np.min(coeff * z0))
+    return float(depth_coefficient(lam) * data.max_height())
 
 
 def assemble_deformed(quarter: DeformedQuarter, n_s: int, n_v: int) -> TriMesh:
@@ -293,8 +291,10 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
 
 
 def assemble_pattern_scaled(data: FundamentalData, t: float, n_s: int,
-                            n_v: int) -> tuple[FundamentalData, TriMesh]:
-    """The pattern-scaling member at t and its closed box.
+                            n_v: int) -> tuple[FundamentalData, TriMesh,
+                                               np.ndarray]:
+    """The pattern-scaling member at t, its closed box, and the base
+    abscissae u of the box's columns.
 
     The box is the member's folded box's grid, columns evenly spaced in the
     member's arc length s, but each column is sampled at its base abscissa
@@ -307,4 +307,4 @@ def assemble_pattern_scaled(data: FundamentalData, t: float, n_s: int,
     member = pattern_scaling_family(data, t)
     quarter = DeformedQuarter(data, 1.0, scale=1.0 - t)
     u = member.zeta.travel.inverse(grid_columns(member.length, n_s))
-    return member, assemble_reflected(quarter.X, u, data.b, n_v)
+    return member, assemble_reflected(quarter.X, u, data.b, n_v), u

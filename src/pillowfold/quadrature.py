@@ -167,7 +167,8 @@ def gauss_segments(fn, a, b) -> np.ndarray:
     """Fixed 15-point Gauss-Legendre integral over each [a_i, b_i].
 
     Intended for short panels with a smooth integrand, where it is exact to
-    rounding; used for the local corrections in monotone reparametrization.
+    rounding; used for the local corrections in monotone reparametrization,
+    and by verify to check such a map's table cell by cell.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

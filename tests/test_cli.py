@@ -225,7 +225,8 @@ def test_family_pattern_scaling(capsys):
     rows = payload["rows"]
     assert [r["t"] for r in rows] == [0.0, 0.25, 0.5, 0.75, 0.95]
     assert all(r["closed"] and r["euler"] == 2 for r in rows)
-    assert all(r["width_gap"] <= 1e-6 for r in rows)
+    assert len({r["width"] for r in rows}) == 1
+    assert all(max(r["inverse_gap"], r["table_gap"]) <= 1e-9 for r in rows)
 
 
 def test_family_pattern_scaling_flag_is_optional(capsys):

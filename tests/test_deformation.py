@@ -316,7 +316,7 @@ def test_pattern_scaling_at_zero_is_the_base(data):
 def test_member_box_matches_the_nested_reference(data, t):
     # the member's box sampled over the base arc length against the generic
     # assembly through the member's own (nested-map) profile
-    member, box = assemble_pattern_scaled(data, t, 24, 12)
+    member, box, _ = assemble_pattern_scaled(data, t, 24, 12)
     ref = assemble_box(QuarterParametrization(member), 24, 12)
     assert np.array_equal(box.faces, ref.faces)
     assert np.array_equal(box.face_labels, ref.face_labels)
@@ -400,13 +400,42 @@ def test_family_rows_need_no_intersection_test(monkeypatch, name, data):
     def refuse(mesh):
         raise AssertionError("family_members ran the intersection test")
     monkeypatch.setattr(verify, "self_intersection_pairs", refuse)
-    got = [(row, passed) for row, _, passed in family_members(
-        data, oc.FAMILY_ROWS_T, 24, 12)]
-    want = [({"t": t, "closed": True, "euler": 2, "volume": volume,
-              "width": width, "width_gap": gap}, True)
-            for t, (volume, width, gap) in zip(oc.FAMILY_ROWS_T,
-                                               oc.FAMILY_ROWS_24x12[name])]
-    assert got == want
+    width = 2.0 * data.half_width()
+    got = list(family_members(data, oc.FAMILY_ROWS_T, 24, 12))
+    assert len(got) == len(oc.FAMILY_ROWS_T)
+    for (row, _, passed), t, (volume, nested, gap) in zip(
+            got, oc.FAMILY_ROWS_T, oc.FAMILY_ROWS_24x12[name]):
+        gaps = {key: row.pop(key) for key in ("inverse_gap", "table_gap")}
+        assert (row, passed) == ({"t": t, "closed": True, "euler": 2,
+                                  "volume": volume, "width": width}, True)
+        assert max(gaps.values()) <= 1e-9
+        # the member's own nested-map width, which the row does not read
+        member_width = 2.0 * pattern_scaling_family(data, t).half_width()
+        assert member_width == nested
+        assert abs(member_width - width) == gap
+
+
+# an admissible table box on which a member's nested-map width was wrong
+PINNED_TABLE_BOX = {"b": 0.4771704637444383, "zeta": {"kind": "table", "s": [
+    0.0, 0.22232451341955045, 0.4446490268391009, 0.6669735402586514,
+    0.8892980536782018, 1.1116225670977522, 1.3339470805173028,
+    1.5562715939368532, 1.7785961073564036], "values": [
+    0.0, 0.09525088480202629, 0.16874542303381504, 0.2121103682936304,
+    0.2326034968067694, 0.22247959460731728, 0.18081589059912598,
+    0.10794453292695617, 0.0]}}
+
+
+def test_family_width_is_the_developed_width():
+    # the member's nested-map width at t = 0.836951 was 2.3e-8 short on this
+    # table box: its adaptive Simpson accepted a panel straddling the image
+    # of a knot; every member develops onto the base's double rectangle
+    data = FundamentalData.from_descriptor(PINNED_TABLE_BOX)
+    width = PlanarDevelopment(data).width
+    for row, _, passed in family_members(data, (0.0, 0.4042, 0.836951),
+                                         24, 12):
+        assert passed
+        assert abs(row["width"] - width) <= 1e-12
+        assert max(row["inverse_gap"], row["table_gap"]) <= 1e-9
 
 
 def test_sweep_trace_rows():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from pillowfold import deformation, pillowbox
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
@@ -17,6 +18,7 @@ from pillowfold.verify import (TOLERANCES, certify, check_crease_planarity,
                                check_flatness, check_isometry, topology_report)
 
 import oracles as oc
+from strategies import admissible_data
 
 H_S = 2e-5
 H_V = 2e-6
@@ -220,3 +222,17 @@ def test_certify_builds_each_state_once(monkeypatch, schedule, meshes):
         "worst": float(topo.boundary_edges),
         "at": [float(topo.intersections), 0.0], "threshold": 0.5,
         "pass": topo.closed and topo.euler == 2 and topo.intersections == 0}
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(admissible_data())
+@example(FundamentalData.from_descriptor({"b": 24.101564661360722, "zeta": {
+    "kind": "poly", "coeffs": [0.0, 0.5665826322127744,
+                               -0.04992268597162145, -0.0019293384385479346],
+    "length": 8.534366189375195}}))
+def test_certify_passes_every_admissible_box(data):
+    # the example's depth-formula once read 1.18e-8 > 1e-8: its two sides
+    # took the maximum of zeta on two sample grids
+    reports = certify(data, DeformationSchedule.linear(), 8, 4, 1e-3,
+                      TOLERANCES)
+    assert [r.check for r in reports if not r.passed] == []
