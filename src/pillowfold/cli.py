@@ -124,7 +124,7 @@ def _fmt_t(t: float) -> str:
 
 def _cmd_validate(args) -> int:
     data = _read_data(args.input)
-    report = validate_fundamental_data(data.b, data.zeta, args.samples)
+    report = validate_fundamental_data(data.b, data.zeta)
     _emit(report.to_dict())
     return 0 if report.valid else 1
 
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check fundamental data admissibility")
     data_input(p)
-    p.add_argument("--samples", type=int, default=99)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("build", help="assemble the folded box mesh")
@@ -283,8 +282,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         args.tols = _parse_tol(args.tol, parser)
-    if args.command == "validate" and args.samples < 1:
-        parser.error("--samples must be >= 1")
     if args.command == "deform":
         if (args.t is None) == (args.sweep is None):
             parser.error("deform needs exactly one of --t or --sweep")

@@ -24,7 +24,7 @@ from .errors import (DomainError, GridTooCoarse, IoError, OutOfDomain,
                      ScheduleViolation)
 from .mesh import TriMesh, assemble_reflected
 from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
-                       reparametrized)
+                       admissibility_margin, reparametrized)
 
 _T_TOL = 1e-12
 _SCHEDULE_T_SAMPLES = 21    # even t samples of a schedule's fold margin
@@ -75,6 +75,8 @@ class DeformationSchedule:
             raise DomainError("a table schedule needs at least 2 t values")
         if lam_values.shape != t_knots.shape or mu_values.shape != t_knots.shape:
             raise DomainError("table lam and mu need one value per t value")
+        if not np.all(np.isfinite([t_knots, lam_values, mu_values])):
+            raise DomainError("table t, lam and mu values must be finite")
         if np.any(np.diff(t_knots) <= 0):
             raise DomainError("table t values must be strictly increasing")
         return cls(lambda t: np.interp(t, t_knots, lam_values),
@@ -106,15 +108,6 @@ class ScheduleReport:
         return {"valid": self.valid, "entries": self.entries}
 
 
-def admissibility_margin(data: FundamentalData, lam: float,
-                         n_samples: int = 511) -> float:
-    """min over the open s grid of 1 - (1 + lam^2) zeta'^2; must stay > 0."""
-    L = data.length
-    s = L * np.arange(1, n_samples + 1) / (n_samples + 1)
-    z1 = np.asarray(data.zeta.eval(s, 1))
-    return float(np.min(1.0 - (1.0 + lam * lam) * z1 ** 2))
-
-
 def validate_schedule(data: FundamentalData,
                       schedule: DeformationSchedule) -> ScheduleReport:
     """Endpoint values lam(0) = 1, lam(1) = 0 and a positive admissibility
@@ -127,12 +120,13 @@ def validate_schedule(data: FundamentalData,
     entries.append({"name": "ends-flat", "t": 1.0,
                     "passed": bool(abs(lam1) <= BC_TOL),
                     "margin": float(BC_TOL - abs(lam1))})
-    for t in np.linspace(0.0, 1.0, _SCHEDULE_T_SAMPLES):
-        lam = schedule.lam(float(t))
-        mu = schedule.mu(float(t))
-        margin = admissibility_margin(data, lam, VALIDATION_SAMPLES)
-        entries.append({"name": "fold-margin", "t": float(t), "lam": lam,
-                        "mu": mu, "margin": margin,
+    ts = [float(t) for t in np.linspace(0.0, 1.0, _SCHEDULE_T_SAMPLES)]
+    lams = [schedule.lam(t) for t in ts]
+    margins = admissibility_margin(data, lams, VALIDATION_SAMPLES)
+    for t, lam, margin in zip(ts, lams, margins):
+        mu = schedule.mu(t)
+        entries.append({"name": "fold-margin", "t": t, "lam": lam,
+                        "mu": mu, "margin": float(margin),
                         "passed": bool(margin > 0 and np.isfinite(mu))})
     return ScheduleReport(entries, all(e["passed"] for e in entries))
 

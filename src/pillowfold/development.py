@@ -15,8 +15,8 @@ import numpy as np
 from .deformation import quarter_domain
 from .errors import DomainError, NonFiniteEvaluation, NonGraph
 from .mesh import TriMesh
-from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
-                       ProfileFunction, ValidationReport, reparametrized)
+from .profiles import (FundamentalData, ProfileFunction, ValidationReport,
+                       condition_entry, reparametrized, shape_conditions)
 
 
 def pattern_graph(data: FundamentalData) -> ProfileFunction:
@@ -53,36 +53,17 @@ class PlanarDevelopment:
 
 def validate_pattern_conditions(f: ProfileFunction,
                                 b: float) -> ValidationReport:
-    """Check a graph profile psi against the pattern admissibility conditions:
-    zero ends, sub-unit slope, strict concavity, and 0 < psi < b inside."""
-    if not np.isfinite(b) or b <= 0:
-        raise DomainError(f"b must be positive, got {b}")
-    w = f.length
-    n = VALIDATION_SAMPLES
-    x = w * np.arange(1, n + 1) / (n + 1)
+    """Check a graph profile psi against the pattern admissibility
+    conditions: zero ends, sub-unit slope, strict concavity, and
+    0 < psi < b inside.  A sample that does not evaluate raises NonGraph."""
     try:
-        p0 = np.asarray(f.eval(x, 0))
-        p1 = np.asarray(f.eval(x, 1))
-        p2 = np.asarray(f.eval(x, 2))
-        ends = np.array([f.eval(0.0, 0), f.eval(w, 0)])
+        (zero, positive, below, concave), x, p1 = shape_conditions(f, b)
     except NonFiniteEvaluation as exc:
         raise NonGraph(
             "pattern samples do not form a single-valued graph") from exc
-
-    def entry(name, margin, worst_x):
-        return {"name": name, "passed": bool(margin > 0), "margin": float(margin),
-                "worst_s": float(worst_x)}
-
-    entries = [
-        entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),
-              0.0 if abs(ends[0]) >= abs(ends[1]) else w),
-        entry("slope-subunit", np.min(1.0 - p1 ** 2), x[np.argmax(p1 ** 2)]),
-        entry("concave", -np.max(p2), x[np.argmax(p2)]),
-        entry("interior-positive", np.min(p0), x[np.argmin(p0)]),
-        entry("below-b", b - np.max(p0), x[np.argmax(p0)]),
-    ]
-    valid = all(e["passed"] for e in entries)
-    return ValidationReport(entries, valid, n)
+    slope = condition_entry("slope-subunit", np.min(1.0 - p1 ** 2),
+                            x[np.argmax(p1 ** 2)])
+    return ValidationReport.of([zero, slope, concave, positive, below])
 
 
 def double_rectangle_mesh(width: float, height: float, n: int) -> TriMesh:

@@ -91,14 +91,6 @@ class DevelopableStrip:
         return beta_from_alpha(self.alpha(fr.s), self.alpha_prime(fr.s),
                                fr.kappa, fr.tau)
 
-    def ruling(self, s) -> np.ndarray:
-        fr = self.frame(s)
-        al = np.asarray(self.alpha(fr.s), dtype=float)
-        be = beta_from_alpha(al, self.alpha_prime(fr.s), fr.kappa, fr.tau)
-        n_g = np.cos(al)[..., None] * fr.normal + np.sin(al)[..., None] * fr.binormal
-        return (np.cos(be)[..., None] * fr.tangent
-                + np.sin(be)[..., None] * n_g)
-
 
 def beta_derivative(strip: DevelopableStrip, s):
     """Centered difference of the ruling angle; beta is smooth wherever the

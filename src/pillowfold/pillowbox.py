@@ -3,11 +3,12 @@
 The folded quarter is the family's state lam = 1, mu = 0 (DeformedQuarter):
 the crease c(s) = (int_0^s sigma, zeta, zeta), sigma = sqrt(1 - 2 zeta'^2),
 ruled by the constant (0, 0, -1) above and (0, -1, 0) below.  This module
-adds the same two strips written through the crease's Frenet frame, which the
-curved-fold kernel measures (ruling angles, dual metrics), and assemble_box,
-which meshes the quarter it is given.  The embedding uses the constant
-rulings: the Frenet-based formulas degenerate at the interval ends
-(sigma -> 0), while the surface stays perfectly smooth there.
+adds the upper strip written through the crease's Frenet frame (its dual is
+the lower one), which the curved-fold kernel measures (ruling angles, dual
+metrics), and assemble_box, which meshes the quarter it is given.  The
+embedding uses the constant rulings: the Frenet-based formulas degenerate at
+the interval ends (sigma -> 0), while the surface stays perfectly smooth
+there.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ class QuarterParametrization(DeformedQuarter):
     """One quarter of the folded box: the deformed quarter at lam = 1, mu = 0.
 
     v >= 0 is the strip that folds down (ruling xi_upper), v < 0 the strip
-    that folds sideways (ruling xi_lower); v = 0 is the crease.
+    that folds sideways (ruling xi_lower); v = 0 is the crease.  upper_strip
+    is the first as a Frenet strip, and upper_strip.dual() the second.
     """
 
     def __init__(self, data: FundamentalData):
         super().__init__(data, 1.0, 0.0)
         self.upper_strip = DevelopableStrip(self.crease,
                                             *_alpha_functions(self.crease))
-        self.lower_strip = self.upper_strip.dual()
 
     def X(self, s, v) -> np.ndarray:
         # DeformedQuarter.X; defined here too so that perfbench's tracer,

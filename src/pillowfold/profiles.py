@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, IoError, NonFiniteEvaluation, NonMonotone)
+from .errors import DomainError, IoError, NonFiniteEvaluation, NonMonotone
 from .quadrature import cumulative_integral, gauss_segments, integrate_segments
 
 _SERIALIZABLE_KINDS = ("hyperbolic", "circular", "poly", "table")
@@ -232,54 +232,86 @@ class ValidationReport:
     valid: bool
     n_samples: int
 
+    @classmethod
+    def of(cls, entries: list) -> "ValidationReport":
+        """The report of entries sampled on the VALIDATION_SAMPLES grid."""
+        return cls(entries, all(e["passed"] for e in entries),
+                   VALIDATION_SAMPLES)
+
     def to_dict(self) -> dict:
         return {"valid": self.valid, "n_samples": self.n_samples,
                 "bc_tol": BC_TOL, "entries": self.entries}
 
 
-def validate_fundamental_data(b: float, zeta: ProfileFunction,
-                              n_samples: int = VALIDATION_SAMPLES
-                              ) -> ValidationReport:
-    """Check (b, zeta) against the admissibility conditions.
+def _open_grid(length: float, n: int) -> np.ndarray:
+    """The n interior samples L i/(n + 1), i = 1..n."""
+    return length * np.arange(1, n + 1) / (n + 1)
 
-    Interior conditions are sampled on the open grid s_i = L i/(n+1),
-    i = 1..n; endpoint values use BC_TOL.  The endpoint slope may sit exactly
-    on the degenerate value 1/sqrt2, as the demo's does, so its entry passes
-    while its margin 1/sqrt2 - max(|zeta'(0)|, |zeta'(L)|) is >= -BC_TOL;
-    steeper ends make the folded crease's rate sqrt(1 - 2 zeta'^2) complex.
-    """
+
+def condition_entry(name, margin, worst_s, passed=None) -> dict:
+    """One admissibility record; it passes when margin > 0 unless told."""
+    passed = margin > 0 if passed is None else passed
+    return {"name": name, "passed": bool(passed), "margin": float(margin),
+            "worst_s": float(worst_s)}
+
+
+def _fold_margin(z1, lam):
+    """min over the samples z1 = zeta' of sigma_lam^2 = 1 - (1 + lam^2)
+    zeta'^2, one per lam."""
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return np.min(1.0 - (1.0 + lam * lam) * z1 ** 2, axis=-1)
+
+
+def admissibility_margin(data: FundamentalData, lam, n_samples: int = 511):
+    """min over the open s grid of 1 - (1 + lam^2) zeta'^2, a float for a
+    scalar lam and one per entry for an array; must stay > 0."""
+    z1 = np.asarray(data.zeta.eval(_open_grid(data.length, n_samples), 1))
+    return _fold_margin(z1, lam)
+
+
+def shape_conditions(f: ProfileFunction, b: float) -> tuple:
+    """The entries endpoints-zero (within BC_TOL), interior-positive,
+    below-b and concave of f against b, on the open grid of
+    VALIDATION_SAMPLES points; returned with that grid and f' on it, which
+    each caller's slope condition reads."""
     if not np.isfinite(b) or b <= 0:
         raise DomainError(f"b must be positive, got {b}")
-    L = zeta.length
-    if L <= 0:
-        raise DomainError(f"profile length must be positive, got {L}")
-    s = L * np.arange(1, n_samples + 1) / (n_samples + 1)
-    z0 = np.asarray(zeta.eval(s, 0))
-    z1 = np.asarray(zeta.eval(s, 1))
-    z2 = np.asarray(zeta.eval(s, 2))
-    ends = np.array([zeta.eval(0.0, 0), zeta.eval(L, 0)])
-
-    def entry(name, margin, worst_s, passed=None):
-        passed = margin > 0 if passed is None else passed
-        return {"name": name, "passed": bool(passed), "margin": float(margin),
-                "worst_s": float(worst_s)}
-
+    L = f.length
+    x = _open_grid(L, VALIDATION_SAMPLES)
+    f0, f1, f2 = (np.asarray(f.eval(x, k)) for k in range(3))
+    ends = np.array([f.eval(0.0, 0), f.eval(L, 0)])
     entries = [
-        entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),
-              0.0 if abs(ends[0]) >= abs(ends[1]) else L),
-        entry("interior-positive", np.min(z0), s[np.argmin(z0)]),
-        entry("below-b", b - np.max(z0), s[np.argmax(z0)]),
-        entry("concave", -np.max(z2), s[np.argmax(z2)]),
-        entry("slope-margin", np.min(1.0 - 2.0 * z1 ** 2),
-              s[np.argmax(z1 ** 2)]),
+        condition_entry("endpoints-zero", BC_TOL - np.max(np.abs(ends)),
+                        0.0 if abs(ends[0]) >= abs(ends[1]) else L),
+        condition_entry("interior-positive", np.min(f0), x[np.argmin(f0)]),
+        condition_entry("below-b", b - np.max(f0), x[np.argmax(f0)]),
+        condition_entry("concave", -np.max(f2), x[np.argmax(f2)]),
     ]
+    return entries, x, f1
+
+
+def validate_fundamental_data(b: float,
+                              zeta: ProfileFunction) -> ValidationReport:
+    """Check (b, zeta) against the admissibility conditions: the shape
+    conditions, slope-margin (the fold margin at lam = 1) and
+    endpoint-slope.
+
+    The endpoint slope may sit exactly on the degenerate value 1/sqrt2, as
+    the demo's does, so its entry passes while its margin 1/sqrt2 -
+    max(|zeta'(0)|, |zeta'(L)|) is >= -BC_TOL; steeper ends make the folded
+    crease's rate sqrt(1 - 2 zeta'^2) complex.
+    """
+    entries, s, z1 = shape_conditions(zeta, b)
+    entries.append(condition_entry("slope-margin", _fold_margin(z1, 1.0),
+                                   s[np.argmax(z1 ** 2)]))
+    L = zeta.length
     end_slopes = np.abs([zeta.eval(0.0, 1), zeta.eval(L, 1)])
     end_margin = 1.0 / np.sqrt(2.0) - np.max(end_slopes)
-    entries.append(entry("endpoint-slope", end_margin,
-                         0.0 if end_slopes[0] >= end_slopes[1] else L,
-                         passed=end_margin >= -BC_TOL))
-    valid = all(e["passed"] for e in entries)
-    return ValidationReport(entries, valid, n_samples)
+    entries.append(condition_entry(
+        "endpoint-slope", end_margin,
+        0.0 if end_slopes[0] >= end_slopes[1] else L,
+        passed=end_margin >= -BC_TOL))
+    return ValidationReport.of(entries)
 
 
 class _MonotoneMap:

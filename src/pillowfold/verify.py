@@ -144,12 +144,6 @@ class PlanarityReport:
     lambda_estimate: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {"normal": list(self.normal),
-                "max_deviation": self.max_deviation,
-                "lambda_estimate": self.lambda_estimate,
-                "n_samples": self.n_samples}
-
 
 def check_crease_planarity(points) -> PlanarityReport:
     """Fit a plane containing the x-axis (normal (0, p, q)) to the samples

@@ -18,13 +18,13 @@ Simpson with one integrand call per point array, against which the library's
 one-call-per-sweep version must agree to the bit; the separate-call Newton
 inverse, a monotone map's three Newton steps with one forward and one rate
 call each, against which the library's one-rate-call step must agree to the
-bit; and the measured metric,
-centred differences of a library strip's embedding.  Helix is the one
-twisted crease the Frenet kernel is tested on, in closed form, and load_obj
-reads the library's OBJ output back.  nested_pattern_scaling builds a
-pattern-scaling member the long way, through the library's pattern graph
-and two nested monotone maps; vertical_end and horizontal_end read a
-library quarter map on its two rims.
+bit; and the measured metric, centred differences of a library strip's
+embedding, whose ruling is built here from the strip's Frenet frame and the
+library's beta_from_alpha.  Helix is the one twisted crease the Frenet
+kernel is tested on, in closed form, and load_obj reads the library's OBJ
+output back.  nested_pattern_scaling builds a pattern-scaling member the
+long way, through the library's pattern graph and two nested monotone maps;
+vertical_end and horizontal_end read a library quarter map on its two rims.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from pillowfold.curves import SpaceCurve
 from pillowfold.development import pattern_graph
 from pillowfold.errors import QuadratureFailure
+from pillowfold.folding import beta_from_alpha
 from pillowfold.mesh import _DEDUPE_FACTOR, _WELD_TOL_FACTOR, TriMesh
 from pillowfold.profiles import (FundamentalData, ProfileFunction,
                                  graph_to_arclength_profile)
@@ -276,6 +277,17 @@ class Helix(SpaceCurve):
                          np.zeros_like(th)], axis=-1) / self._speed ** 2
 
 
+def ruling(strip, s) -> np.ndarray:
+    """The unit ruling cos(beta) T + sin(beta) (cos(alpha) N + sin(alpha) B)
+    of a library strip at s, from its Frenet frame and angles."""
+    fr = strip.frame(s)
+    al = np.asarray(strip.alpha(fr.s), dtype=float)
+    be = beta_from_alpha(al, strip.alpha_prime(fr.s), fr.kappa, fr.tau)
+    n_g = np.cos(al)[..., None] * fr.normal + np.sin(al)[..., None] * fr.binormal
+    return (np.cos(be)[..., None] * fr.tangent
+            + np.sin(be)[..., None] * n_g)
+
+
 def measured_metric(strip, s, v) -> tuple:
     """(E, F, G) of the strip X(s, v) = c(s) + v xi(s): X_s by centred
     differences of the embedding with step 1e-5 max(L, 1), X_v = xi."""
@@ -284,10 +296,10 @@ def measured_metric(strip, s, v) -> tuple:
     h = 1e-5 * max(strip.curve.length, 1.0)
 
     def emb(ss):
-        return strip.curve.point(ss) + v[..., None] * strip.ruling(ss)
+        return strip.curve.point(ss) + v[..., None] * ruling(strip, ss)
 
     Xs = (emb(s + h) - emb(s - h)) / (2.0 * h)
-    Xv = strip.ruling(s)
+    Xv = ruling(strip, s)
     return (np.einsum('...j,...j->...', Xs, Xs),
             np.einsum('...j,...j->...', Xs, Xv),
             np.einsum('...j,...j->...', Xv, Xv))

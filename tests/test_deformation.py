@@ -16,7 +16,8 @@ from pillowfold.development import PlanarDevelopment
 from pillowfold.errors import (DomainError, GridTooCoarse, IoError,
                                OutOfDomain, ScheduleViolation)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
-from pillowfold.profiles import FundamentalData, ProfileFunction
+from pillowfold.profiles import (VALIDATION_SAMPLES, FundamentalData,
+                                 ProfileFunction, validate_fundamental_data)
 from pillowfold.verify import family_members, sweep_trace, topology_report
 
 import oracles as oc
@@ -59,7 +60,13 @@ def test_schedule_table_and_descriptors():
                  {"kind": "table", "t": [0, 1], "lam": [1, 0], "mu": [0]},
                  {"kind": "table", "t": [0], "lam": [1]},
                  {"kind": "table", "t": 0.5, "lam": 1},
-                 {"kind": "table", "t": [0, "x"], "lam": [1, 0]}):
+                 {"kind": "table", "t": [0, "x"], "lam": [1, 0]},
+                 # non-finite values: NaN passes the increasing-t test
+                 {"kind": "table", "t": [0, 0.5, 1], "lam": [1, np.inf, 0]},
+                 {"kind": "table", "t": [0, np.nan, 1], "lam": [1, 0.5, 0]},
+                 {"kind": "table", "t": [0, 0.5, np.inf], "lam": [1, 0.5, 0]},
+                 {"kind": "table", "t": [0, 1], "lam": [1, 0],
+                  "mu": [0, -np.inf]}):
         with pytest.raises(DomainError):
             DeformationSchedule.from_descriptor(desc)
 
@@ -85,6 +92,43 @@ def test_validate_schedule_rejections():
     assert not rep.valid
     worst = min(e["margin"] for e in rep.entries if e["name"] == "fold-margin")
     assert worst < 0.0
+
+
+# lam spikes to 1.5 between the sampled t = 0 and t = 0.05
+SPIKE_SCHEDULE = {"kind": "table", "t": [0.0, 0.01, 0.02, 1.0],
+                  "lam": [1.0, 1.5, 1.0, 0.0]}
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(admissible_data(), st.sampled_from(["linear", "spike"]))
+def test_admissibility_is_one_fold_margin(data, name):
+    # every fold margin, the schedule's and validate's slope-margin, is
+    # admissibility_margin to the bit, and the schedule reads zeta' once
+    schedule = (DeformationSchedule.from_descriptor(SPIKE_SCHEDULE)
+                if name == "spike" else DeformationSchedule.linear())
+    slope = next(e for e in validate_fundamental_data(data.b, data.zeta).entries
+                 if e["name"] == "slope-margin")
+    assert slope["margin"] == admissibility_margin(data, 1.0,
+                                                   VALIDATION_SAMPLES)
+    evaluate, orders = data.zeta.eval, []
+
+    def counted(s, order=0):
+        orders.append(order)
+        return evaluate(s, order)
+
+    data.zeta.eval = counted
+    report = validate_schedule(data, schedule)
+    del data.zeta.eval
+    assert orders == [1]
+    folds = [e for e in report.entries if e["name"] == "fold-margin"]
+    assert len(folds) == 21
+    for e in folds:
+        assert e["margin"] == admissibility_margin(data, e["lam"],
+                                                   VALIDATION_SAMPLES)
+    assert np.array_equal(
+        admissibility_margin(data, [e["lam"] for e in folds],
+                             VALIDATION_SAMPLES),
+        [e["margin"] for e in folds])
 
 
 def test_admissibility_margin_values():

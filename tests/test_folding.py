@@ -69,7 +69,7 @@ def test_beta_from_alpha_values():
 def test_strip_geometry_invariants():
     strip = helix_strip()
     s = np.linspace(0.2, 2.0, 13)
-    ruling = strip.ruling(s)
+    ruling = oc.ruling(strip, s)
     beta = strip.beta(s)
     assert np.max(np.abs(np.linalg.norm(ruling, axis=-1) - 1.0)) < 1e-12
     # the ruling makes the angle beta with the tangent
@@ -92,7 +92,8 @@ def test_pillow_quarter_angles():
     assert abs(float(strip.beta(s)[0]) - oc.BETA_AT_1) < 1e-12
     # geodesic curvature kappa cos(alpha)
     assert abs(kappa * np.cos(alpha) - 1.0) < 1e-12
-    assert np.max(np.abs(strip.ruling(s)[0] - np.array([0.0, 0.0, -1.0]))) < 1e-12
+    assert np.max(np.abs(oc.ruling(strip, s)[0]
+                         - np.array([0.0, 0.0, -1.0]))) < 1e-12
 
 
 def test_metric_measured_matches_closed_form():
@@ -145,7 +146,8 @@ def test_fold_pair_structure():
     # the folded quarter's two strips: one crease, alpha negated, and the
     # two strip maps meeting on it at v = 0
     quarter = QuarterParametrization(FundamentalData.demo())
-    upper, lower = quarter.upper_strip, quarter.lower_strip
+    upper = quarter.upper_strip
+    lower = upper.dual()
     assert upper.curve is quarter.crease and lower.curve is quarter.crease
     s = np.array([0.5, 1.0])
     assert np.array_equal(np.asarray(lower.alpha(s)),

@@ -29,9 +29,9 @@ def test_quarter_rulings_are_constant_units():
     assert np.allclose(quarter.xi_lower, [0.0, -1.0, 0.0], atol=1e-15)
     s = np.linspace(0.1, 1.9, 7)
     # the Frenet-frame route reproduces the same constant rulings
-    assert np.max(np.abs(quarter.upper_strip.ruling(s)
+    assert np.max(np.abs(oc.ruling(quarter.upper_strip, s)
                          - quarter.xi_upper)) < 1e-12
-    assert np.max(np.abs(quarter.lower_strip.ruling(s)
+    assert np.max(np.abs(oc.ruling(quarter.upper_strip.dual(), s)
                          - quarter.xi_lower)) < 1e-12
 
 
@@ -146,9 +146,9 @@ def test_folded_quarter_is_the_lam_1_deformed_quarter(data):
                           oc.horizontal_end(deformed, s))
     # the Frenet strip pair rules the quarter by the same constant rulings
     inner = np.linspace(0.1, 0.9, 9) * data.length
-    assert np.max(np.abs(quarter.upper_strip.ruling(inner)
+    assert np.max(np.abs(oc.ruling(quarter.upper_strip, inner)
                          - deformed.xi_upper)) < 1e-12
-    assert np.max(np.abs(quarter.lower_strip.ruling(inner)
+    assert np.max(np.abs(oc.ruling(quarter.upper_strip.dual(), inner)
                          - deformed.xi_lower)) < 1e-12
 
 

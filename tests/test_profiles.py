@@ -172,7 +172,7 @@ def test_validate_demo_data_passes():
 
 def test_validate_flat_profile_fails_positivity():
     flat = ProfileFunction.polynomial([0.0], 2.0)
-    report = validate_fundamental_data(1.0, flat, n_samples=9)
+    report = validate_fundamental_data(1.0, flat)
     assert not report.valid
     entry = next(e for e in report.entries if e["name"] == "interior-positive")
     assert not entry["passed"]

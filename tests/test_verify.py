@@ -116,7 +116,7 @@ def test_crease_planarity_estimates_fold_parameter():
         rep = check_crease_planarity(pts)
         assert abs(rep.lambda_estimate - lam) < 1e-9
         assert rep.max_deviation < 1e-12
-        json.dumps(rep.to_dict())
+        assert rep.n_samples == 33
 
 
 def test_crease_planarity_flat_state():
