@@ -15,52 +15,52 @@ so no intermediate state closes up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curves import ProfileCrease
 from .errors import (DomainError, GridTooCoarse, IoError, OutOfDomain,
                      ScheduleViolation)
 from .mesh import TriMesh, assemble_reflected
-from .profiles import (BC_TOL, VALIDATION_SAMPLES, FundamentalData,
+from .profiles import (BC_TOL, FundamentalData, ValidationReport,
                        admissibility_margin, reparametrized)
 
 _T_TOL = 1e-12
-_SCHEDULE_T_SAMPLES = 21    # even t samples of a schedule's fold margin
 
 XI_LOWER = np.array([0.0, -1.0, 0.0])
 
 
 class DeformationSchedule:
-    """Fold parameter lam(t) and drift mu(t) over t in [0, 1]."""
+    """Fold parameter lam(t) and drift mu(t) over t in [0, 1], with the
+    knots of t between which |lam| is monotone: 0, 1 and a table's t values
+    inside (0, 1)."""
 
-    def __init__(self, lam, mu=None):
+    def __init__(self, knots, lam, mu=None):
+        self.knots = knots
         self._lam = lam
         self._mu = mu if mu is not None else (lambda t: np.zeros_like(np.asarray(t, dtype=float)))
 
-    def _check_t(self, t):
+    def _at(self, f, t):
         arr = np.asarray(t, dtype=float)
         # NaN fails both comparisons, so it is refused with the rest
         if not np.all((arr >= -_T_TOL) & (arr <= 1.0 + _T_TOL)):
             raise DomainError("t must lie in [0, 1]")
-        return np.clip(arr, 0.0, 1.0)
+        out = np.asarray(f(np.clip(arr, 0.0, 1.0)), dtype=float)
+        return float(out) if np.ndim(t) == 0 else out
 
     def lam(self, t):
-        out = np.asarray(self._lam(self._check_t(t)), dtype=float)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._at(self._lam, t)
 
     def mu(self, t):
-        out = np.asarray(self._mu(self._check_t(t)), dtype=float)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._at(self._mu, t)
 
     @classmethod
     def linear(cls) -> "DeformationSchedule":
-        return cls(lambda t: 1.0 - np.asarray(t, dtype=float))
+        return cls((0.0, 1.0), lambda t: 1.0 - np.asarray(t, dtype=float))
 
     @classmethod
     def cosine(cls) -> "DeformationSchedule":
-        return cls(lambda t: np.cos(0.5 * np.pi * np.asarray(t, dtype=float)))
+        return cls((0.0, 1.0),
+                   lambda t: np.cos(0.5 * np.pi * np.asarray(t, dtype=float)))
 
     @classmethod
     def from_table(cls, t_knots, lam_values, mu_values=None) -> "DeformationSchedule":
@@ -79,7 +79,8 @@ class DeformationSchedule:
             raise DomainError("table t, lam and mu values must be finite")
         if np.any(np.diff(t_knots) <= 0):
             raise DomainError("table t values must be strictly increasing")
-        return cls(lambda t: np.interp(t, t_knots, lam_values),
+        return cls((0.0, *t_knots[(t_knots > 0) & (t_knots < 1)], 1.0),
+                   lambda t: np.interp(t, t_knots, lam_values),
                    lambda t: np.interp(t, t_knots, mu_values))
 
     @classmethod
@@ -99,36 +100,24 @@ class DeformationSchedule:
         raise IoError(f"unknown schedule kind {kind!r}")
 
 
-@dataclass
-class ScheduleReport:
-    entries: list
-    valid: bool
-
-    def to_dict(self) -> dict:
-        return {"valid": self.valid, "entries": self.entries}
-
-
 def validate_schedule(data: FundamentalData,
-                      schedule: DeformationSchedule) -> ScheduleReport:
-    """Endpoint values lam(0) = 1, lam(1) = 0 and a positive admissibility
-    margin at every sampled t."""
+                      schedule: DeformationSchedule) -> ValidationReport:
+    """Endpoint values lam(0) = 1, lam(1) = 0 and a positive fold margin at
+    every knot.  Between knots |lam| is monotone, so its largest value on
+    [0, 1] is at a knot, and the margin falls as lam^2 grows: the knots
+    decide every t."""
     entries = []
-    lam0, lam1 = schedule.lam(0.0), schedule.lam(1.0)
-    entries.append({"name": "starts-folded", "t": 0.0,
-                    "passed": bool(abs(lam0 - 1.0) <= BC_TOL),
-                    "margin": float(BC_TOL - abs(lam0 - 1.0))})
-    entries.append({"name": "ends-flat", "t": 1.0,
-                    "passed": bool(abs(lam1) <= BC_TOL),
-                    "margin": float(BC_TOL - abs(lam1))})
-    ts = [float(t) for t in np.linspace(0.0, 1.0, _SCHEDULE_T_SAMPLES)]
-    lams = [schedule.lam(t) for t in ts]
-    margins = admissibility_margin(data, lams, VALIDATION_SAMPLES)
-    for t, lam, margin in zip(ts, lams, margins):
-        mu = schedule.mu(t)
-        entries.append({"name": "fold-margin", "t": t, "lam": lam,
-                        "mu": mu, "margin": float(margin),
-                        "passed": bool(margin > 0 and np.isfinite(mu))})
-    return ScheduleReport(entries, all(e["passed"] for e in entries))
+    for name, t, end in (("starts-folded", 0.0, 1.0), ("ends-flat", 1.0, 0.0)):
+        lam = schedule.lam(t)
+        margin = BC_TOL - abs(lam - end)
+        entries.append({"name": name, "t": t, "lam": lam,
+                        "passed": bool(margin >= 0), "margin": float(margin)})
+    lams = [schedule.lam(t) for t in schedule.knots]
+    margins = admissibility_margin(data, lams)
+    entries += [{"name": "fold-margin", "t": t, "lam": lam, "mu": schedule.mu(t),
+                 "margin": float(m), "passed": bool(m > 0)}
+                for t, lam, m in zip(schedule.knots, lams, margins)]
+    return ValidationReport.of(entries)
 
 
 def quarter_domain(top, v, b: float, length: float,
@@ -168,15 +157,14 @@ class DeformedQuarter:
     quarter at lam read at base abscissa u instead of the member's own arc
     length s_t(u) (see pattern_scaling_family): sigma_member ds =
     sigma_{lam c} du.  Construction raises ScheduleViolation unless
-    admissibility_margin(data, lam scale) > 0, which has the sign of the
-    member's own margin at lam."""
+    admissibility_margin(data, lam scale) > 0, the fold margin that
+    validate and validate_schedule read at the same fold parameter to the
+    bit; it has the sign of the member's own margin at lam."""
 
     def __init__(self, data: FundamentalData, lam: float, mu: float = 0.0,
                  scale: float = 1.0):
-        if not np.isfinite(lam) or not np.isfinite(mu):
-            raise DomainError("fold parameter and drift must be finite")
-        if not np.isfinite(scale):
-            raise DomainError("scale must be finite")
+        if not np.all(np.isfinite([lam, mu, scale])):
+            raise DomainError("fold parameter, drift and scale must be finite")
         margin = admissibility_margin(data, lam * scale)
         if margin <= 0.0:
             raise ScheduleViolation(
@@ -273,9 +261,9 @@ def pattern_scaling_family(data: FundamentalData, t: float) -> FundamentalData:
     scale=c), read at u: its crease's rate is sigma_t = sqrt(1 - 2
     zeta_t'^2) = sqrt(1 - (1 + c^2) zeta'^2) / m, so sigma_t ds = sigma_c
     du, and its y and z are c zeta(u).  For the same reason 1 - 2 zeta_t'^2
-    = (1 - (1 + c^2) zeta'^2) / m^2 has the sign of
-    admissibility_margin(data, c)'s samples.  assemble_pattern_scaled
-    builds the member's box that way.
+    = (1 - (1 + c^2) zeta'^2) / m^2 has the sign of sigma_c^2 at u, so
+    its least sample has the sign of admissibility_margin(data, c).
+    assemble_pattern_scaled builds the member's box that way.
     """
     if not np.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"t must lie in [0, 1), got {t}")

@@ -22,9 +22,10 @@ _SERIALIZABLE_KINDS = ("hyperbolic", "circular", "poly", "table")
 # Boundary-condition tolerance: how far zeta(0), zeta(L), an end slope or a
 # schedule's end values may sit from their exact values.
 BC_TOL = 1e-9
-# Interior samples of the admissibility conditions (profile, pattern graph,
-# schedule margins), on the open grid L i/(n + 1), i = 1..n.
+# Interior samples, on the open grid L i/(n + 1), i = 1..n, of the shape
+# conditions (profile, pattern graph) and of the slope every fold margin reads.
 VALIDATION_SAMPLES = 99
+_SLOPE_SAMPLES = 511
 _SQRT_FLOOR = -1e-12        # below this a radicand is a genuine negative
 _WIDTH_TOL = 1e-12          # quadrature tolerance of the developed width
 _HEIGHT_SAMPLES = 4097      # even samples of max zeta
@@ -230,17 +231,13 @@ class ValidationReport:
 
     entries: list
     valid: bool
-    n_samples: int
 
     @classmethod
     def of(cls, entries: list) -> "ValidationReport":
-        """The report of entries sampled on the VALIDATION_SAMPLES grid."""
-        return cls(entries, all(e["passed"] for e in entries),
-                   VALIDATION_SAMPLES)
+        return cls(entries, all(e["passed"] for e in entries))
 
     def to_dict(self) -> dict:
-        return {"valid": self.valid, "n_samples": self.n_samples,
-                "bc_tol": BC_TOL, "entries": self.entries}
+        return {"valid": self.valid, "bc_tol": BC_TOL, "entries": self.entries}
 
 
 def _open_grid(length: float, n: int) -> np.ndarray:
@@ -255,18 +252,24 @@ def condition_entry(name, margin, worst_s, passed=None) -> dict:
             "worst_s": float(worst_s)}
 
 
-def _fold_margin(z1, lam):
-    """min over the samples z1 = zeta' of sigma_lam^2 = 1 - (1 + lam^2)
-    zeta'^2, one per lam."""
-    lam = np.asarray(lam, dtype=float)[..., None]
-    return np.min(1.0 - (1.0 + lam * lam) * z1 ** 2, axis=-1)
+def _steepest_slope(zeta: ProfileFunction) -> tuple:
+    """m = max zeta'^2 on the _SLOPE_SAMPLES open grid, and its s."""
+    s = _open_grid(zeta.length, _SLOPE_SAMPLES)
+    z2 = np.asarray(zeta.eval(s, 1)) ** 2
+    k = np.argmax(z2)
+    return z2[k], s[k]
 
 
-def admissibility_margin(data: FundamentalData, lam, n_samples: int = 511):
-    """min over the open s grid of 1 - (1 + lam^2) zeta'^2, a float for a
-    scalar lam and one per entry for an array; must stay > 0."""
-    z1 = np.asarray(data.zeta.eval(_open_grid(data.length, n_samples), 1))
-    return _fold_margin(z1, lam)
+def _sigma_squared(steepest, lam):
+    lam = np.asarray(lam, dtype=float)
+    return 1.0 - (1.0 + lam * lam) * steepest
+
+
+def admissibility_margin(data: FundamentalData, lam):
+    """The fold margin 1 - (1 + lam^2) m at the steepest slope m = max
+    zeta'^2, to the bit the least sample of sigma_lam^2 (rounding is
+    monotone); a float for a scalar lam, one per entry for an array."""
+    return _sigma_squared(_steepest_slope(data.zeta)[0], lam)
 
 
 def shape_conditions(f: ProfileFunction, b: float) -> tuple:
@@ -293,17 +296,18 @@ def shape_conditions(f: ProfileFunction, b: float) -> tuple:
 def validate_fundamental_data(b: float,
                               zeta: ProfileFunction) -> ValidationReport:
     """Check (b, zeta) against the admissibility conditions: the shape
-    conditions, slope-margin (the fold margin at lam = 1) and
-    endpoint-slope.
+    conditions, slope-margin (admissibility_margin at lam = 1, reached at
+    the steepest slope) and endpoint-slope.
 
     The endpoint slope may sit exactly on the degenerate value 1/sqrt2, as
     the demo's does, so its entry passes while its margin 1/sqrt2 -
     max(|zeta'(0)|, |zeta'(L)|) is >= -BC_TOL; steeper ends make the folded
     crease's rate sqrt(1 - 2 zeta'^2) complex.
     """
-    entries, s, z1 = shape_conditions(zeta, b)
-    entries.append(condition_entry("slope-margin", _fold_margin(z1, 1.0),
-                                   s[np.argmax(z1 ** 2)]))
+    entries = shape_conditions(zeta, b)[0]
+    steepest, worst_s = _steepest_slope(zeta)
+    entries.append(condition_entry("slope-margin",
+                                   _sigma_squared(steepest, 1.0), worst_s))
     L = zeta.length
     end_slopes = np.abs([zeta.eval(0.0, 1), zeta.eval(L, 1)])
     end_margin = 1.0 / np.sqrt(2.0) - np.max(end_slopes)

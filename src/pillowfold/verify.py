@@ -17,10 +17,10 @@ import numpy as np
 
 from . import deformation, development, folding, pillowbox
 from .errors import (CollinearSamples, DegenerateMetric, DomainError,
-                     GridTooCoarse)
+                     GridTooCoarse, ScheduleViolation)
 from .mesh import (TriMesh, min_triangle_area_check, quarter_grid_v,
                    self_intersection_pairs)
-from .profiles import FundamentalData
+from .profiles import VALIDATION_SAMPLES, FundamentalData
 from .quadrature import gauss_segments
 
 # The states of certify's checks, as values of the schedule's t.
@@ -211,8 +211,8 @@ def _metric_reference(data: FundamentalData):
 
 
 def _structure_checks(data, quarters, s, z0, tols):
-    """Crease height/planarity, end confinement, ruling norms on the
-    interior grid s, whose heights are z0."""
+    """Crease height/planarity, end confinement (the vertical end v = zeta
+    - b is on xi_lower) and ruling norms on the interior grid s, heights z0."""
     reports = []
     for t, quarter in quarters.items():
         c = quarter.crease.point(s)
@@ -225,7 +225,7 @@ def _structure_checks(data, quarters, s, z0, tols):
         reports.append(CheckReport.bounded(
             f"crease-plane t={t:g}", f"{s.size}", gap, (quarter.lam, 0.0),
             tols["planarity"]))
-        vert = quarter.X(s, c[:, 1] - data.b)
+        vert = c + (c[:, 1] - data.b)[:, None] * quarter.xi_lower
         worst_b = float(np.max(np.abs(vert[:, 1] - data.b)))
         reports.append(CheckReport.bounded(
             f"vertical-end t={t:g}", f"{s.size}", worst_b, (0.0, 0.0), 1e-9))
@@ -287,7 +287,7 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int):
     psi = dev.pattern
     pat = development.validate_pattern_conditions(psi, data.b)
     reports.append(CheckReport(
-        "pattern-conditions", f"{pat.n_samples}",
+        "pattern-conditions", f"{VALIDATION_SAMPLES}",
         float(min(e["margin"] for e in pat.entries)),
         (0.0, 0.0), 0.0, pat.valid))
     return reports, dev, psi, rect
@@ -336,9 +336,16 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     structure, the box, the flat state, the closure obstruction and the
     dual-metric dichotomy, in that order.  tols maps each TOLERANCES name
     to its threshold; eps is the endpoint guard of the interior grids, a
-    DomainError if it lets a stencil step past either end of [0, L].  The
-    box is the (lam, mu) = (1, 0) state: its quarter serves the box, the
-    dual-metric strips and every state at (1, 0), which reuses its mesh."""
+    DomainError if it lets a stencil step past either end of [0, L].  A
+    schedule that validate_schedule rejects is a ScheduleViolation naming
+    the first failed entry, before any check runs.  The box is the
+    (lam, mu) = (1, 0) state: its quarter serves the box, the dual-metric
+    strips and every state at (1, 0), which reuses its mesh."""
+    for e in deformation.validate_schedule(data, schedule).entries:
+        if not e["passed"]:
+            raise ScheduleViolation(
+                f"fold parameter {e['lam']} at t = {e['t']:g} fails "
+                f"{e['name']}, margin {e['margin']:.3e}")
     n_half = max(n_v // 4, 3)
     # One quarter per distinct (lam, mu), whose states' checks share its
     # crease and travel memo: the folded one first, then the states in the

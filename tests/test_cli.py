@@ -31,6 +31,22 @@ DRIFT_SCHEDULE = {"kind": "table", "t": [0.0, 0.5, 1.0],
                   "lam": [1.0, 0.6, 0.0], "mu": [0.2, -0.1, 0.3]}
 
 
+# lam spikes to 1.5 at the knot t = 0.01 only
+SPIKE_SCHEDULE = {"kind": "table", "t": [0, 0.01, 0.02, 1],
+                  "lam": [1, 1.5, 1, 0]}
+
+
+def hidden_bump() -> dict:
+    """0.27 sin(pi s / 2) on 801 knots over [0, 2], the knot at s = 1.51
+    raised by 1e-3: its spline's slope passes 1/sqrt2 between two of the
+    99 shape-condition samples."""
+    s = np.linspace(0.0, 2.0, 801)
+    values = 0.27 * np.sin(0.5 * np.pi * s)
+    values[604] += 1e-3
+    return {"b": 1.0, "zeta": {"kind": "table", "s": s.tolist(),
+                               "values": values.tolist()}}
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -363,6 +379,41 @@ def test_verify_all_schedule_error_names_the_first_state(capsys, tmp_path):
     assert err["error"] == "ScheduleViolation"
     assert err["message"].startswith("fold parameter 1.5 ")
     assert not (tmp_path / "out").exists()
+
+
+def test_spike_schedule_is_refused_at_its_knot(capsys, tmp_path):
+    sched = tmp_path / "spike.json"
+    sched.write_text(json.dumps(SPIKE_SCHEDULE))
+    rc, payload, _ = run_cli(capsys, "deform", "--t", "0.5", "--grid", "8x4",
+                             "--schedule", str(sched))
+    assert rc == 1 and payload["schedule"]["valid"] is False
+    failed = [e for e in payload["schedule"]["entries"] if not e["passed"]]
+    assert [(e["name"], e["t"], e["lam"]) for e in failed] == [
+        ("fold-margin", 0.01, 1.5)]
+    rc, payload, err = run_cli(capsys, "verify", "--all", "--schedule",
+                               str(sched), "--out", str(tmp_path / "out"))
+    assert rc == 2 and payload is None
+    assert json.loads(err) == {
+        "error": "ScheduleViolation",
+        "message": "fold parameter 1.5 at t = 0.01 fails fold-margin, "
+                   "margin -6.186e-01"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_hidden_bump_fails_the_slope_margin(capsys, tmp_path):
+    # slope-margin reads the quarter gate's grid, which sees the bump
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(hidden_bump()))
+    rc, payload, _ = run_cli(capsys, "validate", "--input", str(path))
+    assert rc == 1
+    failed = [e for e in payload["entries"] if not e["passed"]]
+    assert [e["name"] for e in failed] == ["slope-margin"]
+    assert abs(failed[0]["margin"] + 0.394) < 1e-3
+    rc, payload, err = run_cli(capsys, "deform", "--t", "0.5", "--grid", "8x4",
+                               "--input", str(path))
+    assert rc == 2 and payload is None
+    err = json.loads(err)
+    assert err["error"] == "DomainError" and "slope-margin" in err["message"]
 
 
 def test_verify_all_check_order_is_the_golden_order(capsys, tmp_path):

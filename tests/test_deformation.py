@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pillowfold import verify
+from pillowfold import deformation, verify
 from pillowfold.curves import ProfileCrease
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     admissibility_margin, assemble_deformed,
@@ -16,8 +16,8 @@ from pillowfold.development import PlanarDevelopment
 from pillowfold.errors import (DomainError, GridTooCoarse, IoError,
                                OutOfDomain, ScheduleViolation)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
-from pillowfold.profiles import (VALIDATION_SAMPLES, FundamentalData,
-                                 ProfileFunction, validate_fundamental_data)
+from pillowfold.profiles import (FundamentalData, ProfileFunction,
+                                 validate_fundamental_data)
 from pillowfold.verify import family_members, sweep_trace, topology_report
 
 import oracles as oc
@@ -79,6 +79,11 @@ def test_validate_schedule_demo():
         "starts-folded", "ends-flat", "fold-margin"}
 
 
+# lam spikes to 1.5 at the knot t = 0.01 only
+SPIKE_SCHEDULE = {"kind": "table", "t": [0.0, 0.01, 0.02, 1.0],
+                  "lam": [1.0, 1.5, 1.0, 0.0]}
+
+
 def test_validate_schedule_rejections():
     data = FundamentalData.demo()
     # never unfolds
@@ -92,24 +97,26 @@ def test_validate_schedule_rejections():
     assert not rep.valid
     worst = min(e["margin"] for e in rep.entries if e["name"] == "fold-margin")
     assert worst < 0.0
-
-
-# lam spikes to 1.5 between the sampled t = 0 and t = 0.05
-SPIKE_SCHEDULE = {"kind": "table", "t": [0.0, 0.01, 0.02, 1.0],
-                  "lam": [1.0, 1.5, 1.0, 0.0]}
+    # overfolds at one knot inside (0, 1)
+    rep = validate_schedule(data,
+                            DeformationSchedule.from_descriptor(SPIKE_SCHEDULE))
+    failed = [e for e in rep.entries if not e["passed"]]
+    assert [(e["name"], e["t"], e["lam"]) for e in failed] == [
+        ("fold-margin", 0.01, 1.5)]
+    assert failed[0]["margin"] == admissibility_margin(data, 1.5)
 
 
 @settings(derandomize=True, max_examples=16, deadline=None)
 @given(admissible_data(), st.sampled_from(["linear", "spike"]))
 def test_admissibility_is_one_fold_margin(data, name):
-    # every fold margin, the schedule's and validate's slope-margin, is
-    # admissibility_margin to the bit, and the schedule reads zeta' once
+    # validate's slope-margin, each knot's fold-margin and the quarter gate
+    # at the same lam are one value to the bit, and the schedule reads
+    # zeta' once
     schedule = (DeformationSchedule.from_descriptor(SPIKE_SCHEDULE)
                 if name == "spike" else DeformationSchedule.linear())
     slope = next(e for e in validate_fundamental_data(data.b, data.zeta).entries
                  if e["name"] == "slope-margin")
-    assert slope["margin"] == admissibility_margin(data, 1.0,
-                                                   VALIDATION_SAMPLES)
+    assert slope["margin"] == admissibility_margin(data, 1.0)
     evaluate, orders = data.zeta.eval, []
 
     def counted(s, order=0):
@@ -121,14 +128,53 @@ def test_admissibility_is_one_fold_margin(data, name):
     del data.zeta.eval
     assert orders == [1]
     folds = [e for e in report.entries if e["name"] == "fold-margin"]
-    assert len(folds) == 21
-    for e in folds:
-        assert e["margin"] == admissibility_margin(data, e["lam"],
-                                                   VALIDATION_SAMPLES)
+    assert [e["t"] for e in folds] == list(schedule.knots)
+    assert folds[0]["margin"] == slope["margin"]
+    gate = []
+
+    def spied(*args):
+        gate.append(admissibility_margin(*args))
+        return gate[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deformation, "admissibility_margin", spied)
+        for e in folds:
+            try:
+                DeformedQuarter(data, e["lam"])
+            except ScheduleViolation:
+                assert not e["passed"]
+    assert gate == [e["margin"] for e in folds]
     assert np.array_equal(
-        admissibility_margin(data, [e["lam"] for e in folds],
-                             VALIDATION_SAMPLES),
-        [e["margin"] for e in folds])
+        admissibility_margin(data, [e["lam"] for e in folds]), gate)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(admissible_data())
+def test_fold_margin_is_the_least_sample_to_the_bit(data):
+    # 1 - (1 + lam^2) max zeta'^2 is min(1 - (1 + lam^2) zeta'^2) over the
+    # gate's 511 open-grid samples: rounding is monotone
+    z1 = np.asarray(data.zeta.eval(data.length * np.arange(1, 512) / 512, 1))
+    for lam in (0.0, 0.5, 1.0, 1.5):
+        least = np.min(1.0 - (1.0 + lam * lam) * z1 ** 2)
+        assert admissibility_margin(data, lam) == least
+
+
+def test_demo_gate_message_at_lam_one_and_a_half():
+    with pytest.raises(ScheduleViolation) as info:
+        DeformedQuarter(FundamentalData.demo(), 1.5)
+    assert str(info.value) == ("fold parameter 1.5 makes sigma^2 reach "
+                               "-6.186e-01 <= 0")
+
+
+def test_schedule_knots():
+    assert DeformationSchedule.linear().knots == (0.0, 1.0)
+    assert DeformationSchedule.cosine().knots == (0.0, 1.0)
+    # t values outside (0, 1) hold lam constant there: only 0 and 1 count
+    table = DeformationSchedule.from_table([-0.5, 0.25, 1.0, 2.0],
+                                           [1.0, 1.2, 0.0, 0.0])
+    assert table.knots == (0.0, 0.25, 1.0)
+    spike = DeformationSchedule.from_descriptor(SPIKE_SCHEDULE)
+    assert spike.knots == (0.0, 0.01, 0.02, 1.0)
 
 
 def test_admissibility_margin_values():

@@ -167,7 +167,7 @@ def test_validate_demo_data_passes():
                      "concave", "slope-margin", "endpoint-slope"]
     assert all(e["passed"] for e in report.entries)
     d = report.to_dict()
-    assert d["valid"] and d["n_samples"] == 99
+    assert d["valid"] and sorted(d) == ["bc_tol", "entries", "valid"]
 
 
 def test_validate_flat_profile_fails_positivity():

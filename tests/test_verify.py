@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from pillowfold import deformation, pillowbox
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     assemble_deformed, deformed_quarter)
-from pillowfold.errors import CollinearSamples, DegenerateMetric, GridTooCoarse
+from pillowfold.errors import (CollinearSamples, DegenerateMetric,
+                               GridTooCoarse, ScheduleViolation)
 from pillowfold.mesh import (TriMesh, assemble_reflected,
                              self_intersection_pairs)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
@@ -236,3 +237,16 @@ def test_certify_passes_every_admissible_box(data):
     reports = certify(data, DeformationSchedule.linear(), 8, 4, 1e-3,
                       TOLERANCES)
     assert [r.check for r in reports if not r.passed] == []
+
+
+@pytest.mark.parametrize("lam, message", [
+    ([1.0, 1.0], "fold parameter 1.0 at t = 1 fails ends-flat, "
+                 "margin -1.000e+00"),
+    ([0.5, 0.0], "fold parameter 0.5 at t = 0 fails starts-folded, "
+                 "margin -5.000e-01")])
+def test_certify_refuses_a_schedule_that_does_not_fold_and_unfold(lam,
+                                                                  message):
+    schedule = DeformationSchedule.from_table([0.0, 1.0], lam)
+    with pytest.raises(ScheduleViolation) as info:
+        certify(FundamentalData.demo(), schedule, 8, 4, 1e-3, TOLERANCES)
+    assert str(info.value) == message
