@@ -53,10 +53,12 @@ class ProfileCrease(SpaceCurve):
     that unique set.  A repeated set is the same integral of the same points,
     so the memo returns the bits a fresh computation would; sets are never
     merged, since each cumulative value depends on the whole point set.
-    integrate_travel fills the memo for several sets in one quadrature pass
-    (quadrature.cumulative_integrals); the sets share that pass but keep
-    their own integrals, so a batched set returns the bits of a set that
-    point integrated alone.  point sends a miss through it as a single set.
+    The memo is filled by integrate_travels, one quadrature pass that
+    creases of one profile share: every set integrates sqrt(1 - k zeta'^2)
+    with its own crease's k = 1 + lam^2 and keeps its own integral, so a
+    set returns the bits of a set that point integrated alone.
+    integrate_travel is its one-crease call, and point sends a miss
+    through it as a single set.
     """
 
     def __init__(self, data: FundamentalData, lam: float = 1.0, mu: float = 0.0,
@@ -67,13 +69,14 @@ class ProfileCrease(SpaceCurve):
         self.lam = float(lam)
         self.mu = float(mu)
         self.alpha = float(alpha)
+        self.k = 1.0 + self.lam ** 2       # sigma^2 = 1 - k zeta'^2
         self.length = data.length
         self.analytic_torsion = 0.0
         self._travel = {}
 
     def sigma(self, s):
         z1 = np.asarray(self.data.zeta.eval(self._check_domain(s), 1))
-        return safe_sqrt(1.0 - (1.0 + self.lam ** 2) * z1 ** 2)
+        return safe_sqrt(1.0 - self.k * z1 ** 2)
 
     def _sigma_checked(self, s):
         sig = self.sigma(s)
@@ -87,18 +90,8 @@ class ProfileCrease(SpaceCurve):
 
     def integrate_travel(self, s_sets) -> None:
         """Fill the travel memo of every abscissa set in s_sets that it
-        lacks, all in one quadrature pass; each set is keyed as point keys
-        it, and no two sets are merged."""
-        todo = {}
-        for s in s_sets:
-            uniq = np.unique(self._check_domain(s))
-            key = uniq.tobytes()
-            if key not in self._travel:
-                todo[key] = (np.concatenate([[0.0], uniq]) if uniq[0] > 0.0
-                             else uniq)
-        if todo:
-            self._travel.update(zip(todo, cumulative_integrals(
-                self.sigma, list(todo.values()), tol=1e-12)))
+        lacks: integrate_travels for this crease alone."""
+        integrate_travels({self: s_sets})
 
     def point(self, s):
         s_arr = self._check_domain(s)
@@ -121,5 +114,42 @@ class ProfileCrease(SpaceCurve):
         sig = self._sigma_checked(s_arr)
         z1 = np.asarray(self.data.zeta.eval(s_arr, 1))
         z2 = np.asarray(self.data.zeta.eval(s_arr, 2))
-        sig_prime = -(1.0 + self.lam ** 2) * z1 * z2 / sig
+        sig_prime = -self.k * z1 * z2 / sig
         return np.stack([sig_prime, self.alpha * z2, self.lam * z2], axis=-1)
+
+
+def integrate_travels(crease_sets) -> None:
+    """Fill the travel memos of several creases of one profile in one
+    quadrature pass.
+
+    crease_sets maps each crease to its abscissa sets; every set a crease's
+    memo lacks is keyed as point keys it and integrated from 0, and no two
+    sets are merged.  The pass's integrand is sqrt(1 - k zeta'^2) with each
+    set's own crease's k (quadrature.cumulative_integrals' per-set value),
+    which sigma computes with the same k, so every value has the bits of a
+    set integrated alone.  Raises ValueError if the creases with sets to
+    integrate do not share one profile.
+    """
+    todo = {}
+    for crease, s_sets in crease_sets.items():
+        for s in s_sets:
+            uniq = np.unique(crease._check_domain(s))
+            key = uniq.tobytes()
+            if key not in crease._travel:
+                todo[crease, key] = (np.concatenate([[0.0], uniq])
+                                     if uniq[0] > 0.0 else uniq)
+    if not todo:
+        return
+    zeta = next(iter(todo))[0].data.zeta
+    if any(crease.data.zeta is not zeta for crease, _ in todo):
+        raise ValueError("creases integrated in one pass must share a profile")
+
+    def rate(s, k):
+        # the crease's sigma, without its domain check: the pass's points
+        # lie in [0, L] already, and zeta.eval checks and clips the same way
+        return safe_sqrt(1.0 - k * np.asarray(zeta.eval(s, 1)) ** 2)
+
+    travels = cumulative_integrals(rate, list(todo.values()), tol=1e-12,
+                                   params=[crease.k for crease, _ in todo])
+    for (crease, key), travel in zip(todo, travels):
+        crease._travel[key] = travel

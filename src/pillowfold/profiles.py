@@ -11,6 +11,7 @@ would be hopeless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,19 @@ class ProfileFunction:
         if np.isscalar(s) or np.ndim(s) == 0:
             return float(out)
         return out
+
+    # -- sampled extremes ---------------------------------------------------
+    # Each depends on the profile alone, so it is sampled once and held.
+
+    @cached_property
+    def steepest_slope(self) -> tuple:
+        """(m, s): m = max zeta'^2 on the _SLOPE_SAMPLES open grid, at s."""
+        return _steepest_slope(self)
+
+    @cached_property
+    def max_value(self) -> float:
+        """max zeta on _HEIGHT_SAMPLES even samples of [0, L]."""
+        return _max_value(self)
 
     # -- constructors -------------------------------------------------------
 
@@ -207,8 +221,7 @@ class FundamentalData:
         return 0.5 * float(total)
 
     def max_height(self) -> float:
-        s = np.linspace(0.0, self.length, _HEIGHT_SAMPLES)
-        return float(np.max(self.zeta.eval(s, 0)))
+        return self.zeta.max_value
 
     def descriptor(self) -> dict:
         return {"b": self.b, "zeta": self.zeta.descriptor()}
@@ -253,11 +266,19 @@ def condition_entry(name, margin, worst_s, passed=None) -> dict:
 
 
 def _steepest_slope(zeta: ProfileFunction) -> tuple:
-    """m = max zeta'^2 on the _SLOPE_SAMPLES open grid, and its s."""
+    """m = max zeta'^2 on the _SLOPE_SAMPLES open grid, and its s; read
+    through zeta.steepest_slope, which holds it."""
     s = _open_grid(zeta.length, _SLOPE_SAMPLES)
     z2 = np.asarray(zeta.eval(s, 1)) ** 2
     k = np.argmax(z2)
     return z2[k], s[k]
+
+
+def _max_value(zeta: ProfileFunction) -> float:
+    """max zeta on _HEIGHT_SAMPLES even samples; read through
+    zeta.max_value, which holds it."""
+    s = np.linspace(0.0, zeta.length, _HEIGHT_SAMPLES)
+    return float(np.max(zeta.eval(s, 0)))
 
 
 def _sigma_squared(steepest, lam):
@@ -269,7 +290,7 @@ def admissibility_margin(data: FundamentalData, lam):
     """The fold margin 1 - (1 + lam^2) m at the steepest slope m = max
     zeta'^2, to the bit the least sample of sigma_lam^2 (rounding is
     monotone); a float for a scalar lam, one per entry for an array."""
-    return _sigma_squared(_steepest_slope(data.zeta)[0], lam)
+    return _sigma_squared(data.zeta.steepest_slope[0], lam)
 
 
 def shape_conditions(f: ProfileFunction, b: float) -> tuple:
@@ -305,7 +326,7 @@ def validate_fundamental_data(b: float,
     crease's rate sqrt(1 - 2 zeta'^2) complex.
     """
     entries = shape_conditions(zeta, b)[0]
-    steepest, worst_s = _steepest_slope(zeta)
+    steepest, worst_s = zeta.steepest_slope
     entries.append(condition_entry("slope-margin",
                                    _sigma_squared(steepest, 1.0), worst_s))
     L = zeta.length

@@ -4,7 +4,10 @@ All integrands must accept numpy arrays and act elementwise. The batch variant
 keeps a flat queue of active panels (segment id, endpoints, cached
 endpoint/midpoint values) and refines every failing panel per sweep, so the
 integrand is called once per sweep, on the new left and right quarter points
-of every open panel together, instead of recursing panel by panel.
+of every open panel together, instead of recursing panel by panel; a sweep
+gathers its open panels once, by index.  An integrand fn(x, p) with one
+value p per segment serves a family of integrands in one call: each point is
+evaluated with its segment's value, as a call of that segment's own would.
 """
 
 from __future__ import annotations
@@ -30,20 +33,25 @@ def _ensure_finite(values: np.ndarray, points: np.ndarray) -> None:
             f"integrand not finite near {float(where.flat[0])!r}")
 
 
-def _evaluate(fn, *parts):
+def _evaluate(fn, params, seg, *parts):
     """fn on several equal-length arrays through one call, split back.
 
     Integrands are elementwise, so one call on the concatenation gives the
     values of one call per part; the first non-finite value is named in
-    the order of the parts.
+    the order of the parts.  Every part holds one point of each panel,
+    whose segment seg gives; params, unless None, holds one value per
+    segment, and fn is called as fn(points, p) with p each point's value.
     """
     points = np.concatenate(parts)
-    values = np.asarray(fn(points), dtype=float)
+    args = (points,) if params is None else (
+        points, np.concatenate([params.take(seg)] * len(parts)))
+    values = np.asarray(fn(*args), dtype=float)
     _ensure_finite(values, points)
     return np.split(values, len(parts))
 
 
-def integrate_segments(fn, lo, hi, tol, sets: int = 1) -> np.ndarray:
+def integrate_segments(fn, lo, hi, tol, sets: int = 1,
+                       params=None) -> np.ndarray:
     """Integrate fn over each [lo_i, hi_i] with per-segment absolute tolerance.
 
     Returns one value per segment. Accepted panels use Richardson
@@ -55,57 +63,64 @@ def integrate_segments(fn, lo, hi, tol, sets: int = 1) -> np.ndarray:
     made more than sets * MAX_PANELS panels; a caller that batches the
     segments of several point sets passes their number as sets, so that
     only a call in which one set alone passes MAX_PANELS is stopped.
+
+    params, unless None, holds one float per segment, and fn is called as
+    fn(x, p) with p the value of each point's segment; every panel reads
+    its segment's value, so the segment integrates fn(., p_i) with the
+    bits of a call of its own.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     nseg = lo.size
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (nseg,)).copy()
     tol = np.maximum(tol, 1e-17)
+    params = None if params is None else np.asarray(params, dtype=float)
 
     totals = np.zeros(nseg)
     seg = np.arange(nseg)
     a = lo.copy()
     b = hi.copy()
     mid = 0.5 * (a + b)
-    fa, fm, fb = _evaluate(fn, a, mid, b)
+    fa, fm, fb = _evaluate(fn, params, seg, a, mid, b)
     coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     budget = tol.copy()
     floor_w = np.abs(hi - lo) * _WIDTH_FLOOR_FACTOR
-    floor_per_panel = floor_w[seg]
 
     n_panels = nseg
     cap = sets * MAX_PANELS
     while seg.size:
         m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = _evaluate(fn, lm, rm)
+        flm, frm = _evaluate(fn, params, seg, 0.5 * (a + m),
+                             0.5 * (m + b))
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        fine = left + right
-        err = (fine - coarse) / 15.0
-        accept = (np.abs(err) <= budget) | ((b - a) <= floor_per_panel)
+        err = (left + right - coarse) / 15.0
+        accept = (np.abs(err) <= budget) | ((b - a) <= floor_w.take(seg))
 
         if np.any(accept):
-            np.add.at(totals, seg[accept], fine[accept] + err[accept])
+            np.add.at(totals, seg[accept],
+                      left[accept] + right[accept] + err[accept])
 
-        keep = ~accept
-        n_new = 2 * int(np.count_nonzero(keep))
-        n_panels += n_new
+        # the open panels, in queue order; each splits into a left child
+        # (first half of the new queue) and a right child (second half)
+        kidx = np.flatnonzero(~accept)
+        n_panels += 2 * kidx.size
         if n_panels > cap:
             raise QuadratureFailure(
-                f"panel cap {cap} exceeded ({seg[keep].size} panels still open)"
+                f"panel cap {cap} exceeded ({kidx.size} panels still open)"
             )
-        seg = np.concatenate([seg[keep], seg[keep]])
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
-        half = 0.5 * budget[keep]
+        seg = seg.take(kidx)
+        seg = np.concatenate([seg, seg])
+        m = m.take(kidx)
+        a = np.concatenate([a.take(kidx), m])
+        b = np.concatenate([m, b.take(kidx)])
+        fm = fm.take(kidx)
+        fa = np.concatenate([fa.take(kidx), fm])
+        fb = np.concatenate([fm, fb.take(kidx)])
+        fm = np.concatenate([flm.take(kidx), frm.take(kidx)])
+        coarse = np.concatenate([left.take(kidx), right.take(kidx)])
+        half = 0.5 * budget.take(kidx)
         budget = np.concatenate([half, half])
-        floor_per_panel = np.concatenate([floor_per_panel[keep], floor_per_panel[keep]])
     return totals
 
 
@@ -124,7 +139,8 @@ def cumulative_integral(fn, points, tol: float = 1e-12) -> np.ndarray:
     return cumulative_integrals(fn, [points], tol)[0]
 
 
-def cumulative_integrals(fn, point_sets, tol: float = 1e-12) -> list:
+def cumulative_integrals(fn, point_sets, tol: float = 1e-12,
+                         params=None) -> list:
     """cumulative_integral along each ascending set, in one quadrature call.
 
     The segments of every set go through one integrate_segments call, so
@@ -134,9 +150,14 @@ def cumulative_integrals(fn, point_sets, tol: float = 1e-12) -> list:
     segment on its own.  So each result has the bits of a
     cumulative_integral call on that set alone: sets share a call but are
     never merged.  A 1-point set gives [0] and a zero-width set zeros.
+
+    params, unless None, holds one float per set, and fn is called as
+    fn(x, p) with p each point's set value: every segment of a set carries
+    that set's value, so the set's result has the bits of a call of its
+    own with fn(., p) as the integrand.
     """
     out, live = [], []
-    for points in point_sets:
+    for k, points in enumerate(point_sets):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("points must be a 1-d array")
@@ -147,15 +168,18 @@ def cumulative_integrals(fn, point_sets, tol: float = 1e-12) -> list:
         total = pts[-1] - pts[0]
         if total <= 0:
             continue
-        live.append((out[-1], pts, np.maximum(tol * widths / total, 1e-16)))
+        live.append((out[-1], pts, np.maximum(tol * widths / total, 1e-16), k))
     if live:
+        cums, sets, seg_tols, ks = zip(*live)
+        counts = [seg_tol.size for seg_tol in seg_tols]
         values = integrate_segments(
-            fn, np.concatenate([pts[:-1] for _, pts, _ in live]),
-            np.concatenate([pts[1:] for _, pts, _ in live]),
-            np.concatenate([seg_tol for _, _, seg_tol in live]),
-            sets=len(live))
-        ends = np.cumsum([seg_tol.size for _, _, seg_tol in live])[:-1]
-        for (cum, _, _), increments in zip(live, np.split(values, ends)):
+            fn, np.concatenate([pts[:-1] for pts in sets]),
+            np.concatenate([pts[1:] for pts in sets]),
+            np.concatenate(seg_tols), sets=len(live),
+            params=None if params is None else np.repeat(
+                [params[k] for k in ks], counts))
+        for cum, increments in zip(cums, np.split(values,
+                                                  np.cumsum(counts)[:-1])):
             np.cumsum(increments, out=cum[1:])
     return out
 

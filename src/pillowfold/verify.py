@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation, development, folding, pillowbox
+from .curves import integrate_travels
 from .errors import (CollinearSamples, DegenerateMetric, DomainError,
                      GridTooCoarse, ScheduleViolation)
 from .mesh import (TriMesh, min_triangle_area_check, quarter_grid_v,
@@ -373,22 +374,21 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     frac = np.linspace(0.08, 0.92, n_half)
     strips = {"upper": z0[:, None] * frac,
               "lower": -(data.b - z0)[:, None] * frac}
-    # Every crease set the checks below ask for, one quadrature pass per
-    # quarter.  A set listed but unused costs only time, a set used but not
+    # Every crease set the checks below ask for, all in one quadrature
+    # pass.  A set listed but unused costs only time, a set used but not
     # listed only a second pass; the memo's bits are the same either way.
-    travel = {quarter: [] for quarter in by_state.values()}
+    travel = {quarter.crease: [] for quarter in by_state.values()}
     for quarter in quarters.values():
-        travel[quarter].append(s)
+        travel[quarter.crease].append(s)
     for t in _ISOMETRY_STATES:
-        travel[quarters[t]] += [s + h_iso[0], s - h_iso[0]]
+        travel[quarters[t].crease] += [s + h_iso[0], s - h_iso[0]]
     for t in _FLATNESS_STATES:
-        travel[quarters[t]] += [s + h_flat[0], s - h_flat[0]]
+        travel[quarters[t].crease] += [s + h_flat[0], s - h_flat[0]]
     for t in _STRUCTURE_STATES:
-        travel[quarters[t]].append(np.array([0.0, L]))
+        travel[quarters[t].crease].append(np.array([0.0, L]))
     for quarter in [folded] + [quarters[t] for t in _TOPOLOGY_STATES]:
-        travel[quarter].append(deformation.grid_columns(L, n_s))
-    for quarter, sets in travel.items():
-        quarter.crease.integrate_travel(sets)
+        travel[quarter.crease].append(deformation.grid_columns(L, n_s))
+    integrate_travels(travel)
     # A stencil of steps (h_s, h_v) samples each strip through that strip's
     # own smooth extension, with room to straddle the curved boundary.
     reference = _metric_reference(data)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from pillowfold import curves, quadrature
+from pillowfold import curves, profiles, quadrature
 from pillowfold.cli import main
 from pillowfold.deformation import DeformationSchedule
 from pillowfold.profiles import FundamentalData
@@ -304,8 +304,8 @@ def test_family_reports_but_does_not_gate_volume_order(capsys, tmp_path):
 
 def test_verify_all_integrates_each_crease_set_once(capsys, monkeypatch,
                                                    tmp_path):
-    # one quadrature pass per crease, one crease per state: the box's is
-    # the t = 0 state's unless that state drifts
+    # one quadrature pass for the creases of every state, whether or not
+    # the t = 0 state drifts away from the box
     drift = tmp_path / "drift.json"
     drift.write_text(json.dumps(DRIFT_SCHEDULE))
     passes = []
@@ -314,12 +314,32 @@ def test_verify_all_integrates_each_crease_set_once(capsys, monkeypatch,
         passes.append(1)
         return quadrature.cumulative_integrals(*args, **kwargs)
     monkeypatch.setattr(curves, "cumulative_integrals", counted)
-    for schedule, want in (("linear", 7), ("cosine", 7), (str(drift), 8)):
+    for schedule in ("linear", "cosine", str(drift)):
         passes.clear()
         rc, _, _ = run_cli(capsys, "verify", "--all", "--grid", "32x16",
                            "--schedule", schedule)
         assert rc == 0
-        assert len(passes) == want, schedule
+        assert len(passes) == 1, schedule
+
+
+def test_verify_all_samples_the_steepest_slope_and_height_once(capsys,
+                                                              monkeypatch):
+    # every fold margin reads one max zeta'^2 and every bound and depth one
+    # max zeta, which the profile holds
+    counts = {}
+
+    def counting(name):
+        original = getattr(profiles, name)
+
+        def counted(zeta):
+            counts[name] = counts.get(name, 0) + 1
+            return original(zeta)
+        return counted
+    for name in ("_steepest_slope", "_max_value"):
+        monkeypatch.setattr(profiles, name, counting(name))
+    rc, _, _ = run_cli(capsys, "verify", "--all")
+    assert rc == 0
+    assert counts == {"_steepest_slope": 1, "_max_value": 1}
 
 
 def test_verify_all_passes(capsys):

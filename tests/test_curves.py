@@ -127,9 +127,9 @@ def test_profile_crease_batch_returns_fresh_bits(data, lam):
     crease = ProfileCrease(data, lam=lam)
     passes = []
 
-    def counted(fn, point_sets, tol):
+    def counted(fn, point_sets, *args, **kwargs):
         passes.append(len(point_sets))
-        return quadrature.cumulative_integrals(fn, point_sets, tol)
+        return quadrature.cumulative_integrals(fn, point_sets, *args, **kwargs)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(curves, "cumulative_integrals", counted)
         crease.integrate_travel(sets)

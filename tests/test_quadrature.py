@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pillowfold import quadrature
 from pillowfold.curves import ProfileCrease
 from pillowfold.errors import NonFiniteEvaluation, QuadratureFailure
-from pillowfold.profiles import FundamentalData
+from pillowfold.profiles import FundamentalData, safe_sqrt
 from pillowfold.quadrature import (cumulative_integral, cumulative_integrals,
                                    gauss_segments, integrate_segments)
 
@@ -216,5 +216,28 @@ def test_cumulative_integrals_have_the_bits_of_one_call_per_set(name, sets,
     assert len(got) == len(point_sets)
     for pts, cum in zip(point_sets, got):
         assert np.array_equal(cum, cumulative_integral(fn, pts, tol))
+        if pts[-1] == pts[0]:       # a 1-point or zero-width set
+            assert np.array_equal(cum, np.zeros(pts.size))
+
+
+_DEMO_ZETA = FundamentalData.demo().zeta
+
+
+def _sigma_family(s, k):
+    return safe_sqrt(1.0 - k * _DEMO_ZETA.eval(s, 1) ** 2)
+
+
+@pytest.mark.parametrize("fn", [_sigma_family, lambda x, p: np.exp(p * x)])
+def test_cumulative_integrals_with_set_values_have_the_bits_of_one_call_per_value(fn):
+    # the demo's sigma at k = 2 has square-root zeros at both ends
+    point_sets = [np.linspace(0.0, 2.0, 9), np.array([0.7]),
+                  np.full(3, 1.3), np.linspace(0.1, 1.9, 5),
+                  np.linspace(0.0, 2.0, 9), np.array([0.0, 0.4, 2.0])]
+    values = [2.0, 1.25, 1.49, 1.0 + 0.7 ** 2, 1.0, 2.0]
+    got = cumulative_integrals(fn, point_sets, 1e-12, params=values)
+    assert len(got) == len(point_sets)
+    for pts, value, cum in zip(point_sets, values, got):
+        want = cumulative_integral(lambda x: fn(x, value), pts, 1e-12)
+        assert np.array_equal(cum, want)
         if pts[-1] == pts[0]:       # a 1-point or zero-width set
             assert np.array_equal(cum, np.zeros(pts.size))

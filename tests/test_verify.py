@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from pillowfold import deformation, pillowbox
+from pillowfold import deformation, pillowbox, verify
+from pillowfold.curves import ProfileCrease, integrate_travels
 from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
                                     assemble_deformed, deformed_quarter)
 from pillowfold.errors import (CollinearSamples, DegenerateMetric,
@@ -15,6 +16,7 @@ from pillowfold.mesh import (TriMesh, assemble_reflected,
                              self_intersection_pairs)
 from pillowfold.pillowbox import QuarterParametrization, assemble_box
 from pillowfold.profiles import FundamentalData
+from pillowfold.quadrature import cumulative_integral
 from pillowfold.verify import (TOLERANCES, certify, check_crease_planarity,
                                check_flatness, check_isometry, topology_report)
 
@@ -237,6 +239,35 @@ def test_certify_passes_every_admissible_box(data):
     reports = certify(data, DeformationSchedule.linear(), 8, 4, 1e-3,
                       TOLERANCES)
     assert [r.check for r in reports if not r.passed] == []
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(admissible_data())
+def test_certify_pass_gives_each_crease_the_bits_of_its_own(data):
+    # certify integrates the sets of every state's crease in one pass; each
+    # memo entry has the bits of that crease's sets integrated alone, and
+    # of its sigma's cumulative integral over the set
+    for schedule, creases in ((DeformationSchedule.linear(), 7), (_DRIFT, 8)):
+        passes = []
+
+        def recorded(crease_sets):
+            integrate_travels(crease_sets)
+            passes.append({crease: (list(sets), dict(crease._travel))
+                           for crease, sets in crease_sets.items()})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "integrate_travels", recorded)
+            certify(data, schedule, 8, 4, 1e-3, TOLERANCES)
+        assert [len(p) for p in passes] == [creases]
+        for crease, (sets, memo) in passes[0].items():
+            alone = ProfileCrease(data, crease.lam, crease.mu, crease.alpha)
+            alone.integrate_travel(sets)
+            assert memo.keys() == alone._travel.keys()
+            for key, travel in memo.items():
+                assert np.array_equal(travel, alone._travel[key])
+                uniq = np.frombuffer(key)
+                pts = np.concatenate([[0.0], uniq]) if uniq[0] > 0.0 else uniq
+                assert np.array_equal(
+                    travel, cumulative_integral(crease.sigma, pts, 1e-12))
 
 
 @pytest.mark.parametrize("lam, message", [
