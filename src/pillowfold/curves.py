@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, EndpointSingularity
-from .profiles import FundamentalData, safe_sqrt
+from .profiles import FundamentalData, domain_guard, safe_sqrt
 # cumulative_integral stays importable here under its one-set name, which
 # perfbench's tracer patches; the crease integrates through the batched form.
 from .quadrature import cumulative_integral, cumulative_integrals  # noqa: F401
@@ -26,12 +26,7 @@ class SpaceCurve:
     analytic_torsion: float
 
     def _check_domain(self, s):
-        arr = np.asarray(s, dtype=float)
-        tol = 1e-9 * max(self.length, 1.0)
-        if np.any(arr < -tol) or np.any(arr > self.length + tol):
-            bad = arr[(arr < -tol) | (arr > self.length + tol)].flat[0]
-            raise DomainError(f"s = {bad} outside [0, {self.length}]")
-        return np.clip(arr, 0.0, self.length)
+        return domain_guard(s, self.length)
 
 
 class ProfileCrease(SpaceCurve):
@@ -58,7 +53,9 @@ class ProfileCrease(SpaceCurve):
     with its own crease's k = 1 + lam^2 and keeps its own integral, so a
     set returns the bits of a set that point integrated alone.
     integrate_travel is its one-crease call, and point sends a miss
-    through it as a single set.
+    through it as a single set.  point also evaluates zeta on the unique
+    abscissae only and scatters every coordinate back to the points, so a
+    repeated abscissa costs one evaluation.
     """
 
     def __init__(self, data: FundamentalData, lam: float = 1.0, mu: float = 0.0,
@@ -99,9 +96,11 @@ class ProfileCrease(SpaceCurve):
         key = uniq.tobytes()
         if key not in self._travel:
             self.integrate_travel([uniq])
-        x = self._travel[key][-uniq.size:][inverse].reshape(s_arr.shape)
-        z0 = np.asarray(self.data.zeta.eval(s_arr, 0))
-        return np.stack([self.mu + x, self.alpha * z0, self.lam * z0], axis=-1)
+        travel = self._travel[key]
+        x = travel[travel.size - uniq.size:]
+        z0 = np.asarray(self.data.zeta.eval(uniq, 0))
+        points = np.stack([self.mu + x, self.alpha * z0, self.lam * z0], axis=-1)
+        return points[inverse].reshape(s_arr.shape + (3,))
 
     def velocity(self, s):
         s_arr = self._check_domain(s)
@@ -137,7 +136,8 @@ def integrate_travels(crease_sets) -> None:
             key = uniq.tobytes()
             if key not in crease._travel:
                 todo[crease, key] = (np.concatenate([[0.0], uniq])
-                                     if uniq[0] > 0.0 else uniq)
+                                     if uniq.size == 0 or uniq[0] > 0.0
+                                     else uniq)
     if not todo:
         return
     zeta = next(iter(todo))[0].data.zeta

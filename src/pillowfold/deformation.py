@@ -181,10 +181,23 @@ class DeformedQuarter:
         self.xi_upper = np.array([0.0, (self.lam ** 2 - 1.0) / denom,
                                   -2.0 * self.lam / denom])
         self.xi_lower = XI_LOWER.copy()
+        self._points = {}
 
     def _base(self, s, v, slack: float) -> tuple:
-        """The crease points over s and v, checked against their height."""
-        base = self.crease.point(np.atleast_1d(np.asarray(s, dtype=float)))
+        """The crease points over s and v, checked against their height.
+
+        The points of each s array are computed once and kept, keyed by its
+        shape and bytes, so the stencils' repeated s sets cost one crease
+        evaluation each; they are shared, hence read-only.  Sets are never
+        merged, as the crease's travel memo keys by set.  The v check runs
+        on every call, since it reads v and the slack."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        key = (s.shape, s.tobytes())
+        base = self._points.get(key)
+        if base is None:
+            base = self.crease.point(s)
+            base.flags.writeable = False
+            self._points[key] = base
         return base, quarter_domain(base[..., 1], v, self.data.b,
                                     self.length, slack)
 

@@ -41,6 +41,31 @@ def safe_sqrt(x):
     return np.where(x < _SQRT_FLOOR, np.nan, out)
 
 
+def _domain_tol(length: float) -> float:
+    return 1e-9 * max(length, 1.0)
+
+
+def domain_guard(s, length: float) -> np.ndarray:
+    """s as a float array on [0, length], the one domain check of profiles
+    and curves: points within 1e-9 max(length, 1) outside are clipped to
+    the ends, and a point beyond raises DomainError naming the first.
+
+    One min and one max decide the common case: when every point lies in
+    [0, length], s comes back unclipped, with the bits np.clip would give
+    (-0.0 included), and may be the caller's own array, so no evaluator
+    writes into its argument.  NaN fails both comparisons and takes the
+    masked path, which passes it on for the evaluator's finiteness check.
+    """
+    arr = np.asarray(s, dtype=float)
+    if arr.size and arr.min() >= 0.0 and arr.max() <= length:
+        return arr
+    tol = _domain_tol(length)
+    outside = (arr < -tol) | (arr > length + tol)
+    if np.any(outside):
+        raise DomainError(f"s = {arr[outside].flat[0]} outside [0, {length}]")
+    return np.clip(arr, 0.0, length)
+
+
 class ProfileFunction:
     """Scalar function on [0, length] with derivatives up to order 2.
 
@@ -58,7 +83,7 @@ class ProfileFunction:
         if not np.isfinite(length) or length <= 0:
             raise DomainError(f"profile length must be positive, got {length}")
         self.length = float(length)
-        self.domain_tol = 1e-9 * max(self.length, 1.0)   # eval's s slack
+        self.domain_tol = _domain_tol(self.length)       # eval's s slack
         self.kind = kind
         self._evaluator = evaluator
         self.params = dict(params or {})
@@ -69,13 +94,8 @@ class ProfileFunction:
     def eval(self, s, order: int = 0):
         if order not in (0, 1, 2):
             raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
-        arr = np.asarray(s, dtype=float)
-        tol = self.domain_tol
-        if np.any(arr < -tol) or np.any(arr > self.length + tol):
-            bad = arr[(arr < -tol) | (arr > self.length + tol)].flat[0]
-            raise DomainError(f"s = {bad} outside [0, {self.length}]")
-        clipped = np.clip(arr, 0.0, self.length)
-        out = np.asarray(self._evaluator(clipped, order), dtype=float)
+        out = np.asarray(self._evaluator(domain_guard(s, self.length), order),
+                         dtype=float)
         if not np.all(np.isfinite(out)):
             raise NonFiniteEvaluation(
                 f"profile ({self.kind}) returned non-finite values at order {order}")

@@ -342,6 +342,26 @@ def test_verify_all_samples_the_steepest_slope_and_height_once(capsys,
     assert counts == {"_steepest_slope": 1, "_max_value": 1}
 
 
+def test_verify_all_evaluates_each_crease_set_once(capsys, monkeypatch):
+    # each quarter keeps the crease points of every s array it is asked
+    # for, so the stencils' repeated sets cost one crease evaluation each,
+    # and a crease evaluates zeta once per distinct abscissa
+    counts = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    counting(curves.ProfileCrease, "point")
+    counting(profiles.ProfileFunction, "eval")
+    rc, _, _ = run_cli(capsys, "verify", "--all")
+    assert rc == 0
+    assert counts == {"point": 35, "eval": 200}
+
+
 def test_verify_all_passes(capsys):
     rc, payload, _ = run_cli(capsys, "verify", "--all")
     assert rc == 0

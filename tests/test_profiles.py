@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillowfold.curves import ProfileCrease
+from pillowfold.deformation import pattern_scaling_family
 from pillowfold.errors import (DomainError, IoError, NonFiniteEvaluation,
                                NonMonotone)
 from pillowfold.profiles import (BC_TOL, FundamentalData, ProfileFunction,
-                                 graph_to_arclength_profile, reparametrized,
-                                 validate_fundamental_data)
+                                 domain_guard, graph_to_arclength_profile,
+                                 reparametrized, validate_fundamental_data)
 
 import oracles as oc
 from strategies import admissible_data
@@ -53,6 +55,89 @@ def test_eval_domain_and_order_guards():
     z.eval(2.0 + 1e-12)  # inside the domain tolerance
     with pytest.raises(ValueError):
         z.eval(1.0, order=3)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _demo_eval_and_point():
+    """The demo profile's eval and its lam = 0.5 crease's point: the two
+    entry points that share domain_guard."""
+    data = FundamentalData.demo()
+    return data.zeta, ProfileCrease(data, 0.5)
+
+
+def test_domain_guard_inside_keeps_the_clipped_bits():
+    z, crease = _demo_eval_and_point()
+    s = np.array([-0.0, 0.0, 0.3, 1.0, 2.0])
+    assert np.array_equal(_bits(domain_guard(s, 2.0)),
+                          _bits(np.clip(s, 0.0, 2.0)))
+    assert np.signbit(domain_guard(s, 2.0)[0])
+    for order in (0, 1, 2):
+        assert np.array_equal(_bits(z.eval(s, order)),
+                              _bits(z._evaluator(np.clip(s, 0.0, 2.0), order)))
+    assert np.array_equal(_bits(crease.point(s)),
+                          _bits(crease.point(np.clip(s, 0.0, 2.0))))
+
+
+def test_domain_guard_clips_within_the_tolerance():
+    z, crease = _demo_eval_and_point()
+    tol = z.domain_tol
+    s = np.array([-0.5 * tol, 1.0, 2.0 + 0.5 * tol])
+    assert np.array_equal(domain_guard(s, 2.0), [0.0, 1.0, 2.0])
+    assert np.array_equal(z.eval(s), z.eval(np.array([0.0, 1.0, 2.0])))
+    assert np.array_equal(crease.point(s),
+                          crease.point(np.array([0.0, 1.0, 2.0])))
+
+
+@pytest.mark.parametrize("s, bad", [
+    (np.array([1.0, -1e-6, 3.0]), "-1e-06"),
+    (np.array([[0.5, 2.5], [-1.0, 1.0]]), "2.5"),
+    (-0.1, "-0.1"),
+])
+def test_domain_guard_beyond_the_tolerance_names_the_first_point(s, bad):
+    z, crease = _demo_eval_and_point()
+    for evaluate in (z.eval, crease.point):
+        with pytest.raises(DomainError) as info:
+            evaluate(s)
+        assert str(info.value) == f"s = {bad} outside [0, 2.0]"
+
+
+@pytest.mark.parametrize("s", [np.nan, np.array([0.5, np.nan])])
+def test_domain_guard_passes_nan_to_the_finiteness_check(s):
+    z, crease = _demo_eval_and_point()
+    for evaluate in (z.eval, crease.point):
+        with pytest.raises(NonFiniteEvaluation):
+            evaluate(s)
+
+
+def test_domain_guard_empty_and_zero_dimensional():
+    z, crease = _demo_eval_and_point()
+    assert z.eval(np.array([])).shape == (0,)
+    assert crease.point(np.array([])).shape == (0, 3)
+    value = z.eval(np.array(0.3))
+    assert isinstance(value, float) and value == z.eval(0.3)
+    assert np.array_equal(crease.point(np.array(0.3)),
+                          crease.point(np.array([0.3]))[0])
+
+
+@pytest.mark.parametrize("zeta", [
+    ProfileFunction.hyperbolic(2.0, 1.0),
+    ProfileFunction.circular(2.0, 1.8),
+    ProfileFunction.polynomial([0.0, 0.441942, -0.176777, -0.022097], 2.0),
+    ProfileFunction.tabulated([0.0, 0.5, 1.0, 1.5, 2.0],
+                              [0.0, 0.2, 0.27, 0.2, 0.0]),
+    pattern_scaling_family(FundamentalData.demo(), 0.4).zeta,
+], ids=["hyperbolic", "circular", "poly", "table", "pattern-scaled"])
+def test_every_kind_reads_a_read_only_broadcast_array(zeta):
+    # inside [0, L] the guard hands the evaluator the caller's own array
+    s = np.broadcast_to(np.linspace(0.0, zeta.length, 7)[:, None], (7, 3))
+    assert not s.flags.writeable
+    for order in (0, 1, 2):
+        assert np.array_equal(zeta.eval(s, order), zeta.eval(s.copy(), order))
+    crease = ProfileCrease(FundamentalData(1.0, zeta), 0.5)
+    assert np.array_equal(crease.point(s), crease.point(s.copy()))
 
 
 def test_non_finite_values_rejected():

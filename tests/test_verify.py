@@ -270,6 +270,30 @@ def test_certify_pass_gives_each_crease_the_bits_of_its_own(data):
                     travel, cumulative_integral(crease.sigma, pts, 1e-12))
 
 
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data())
+def test_certify_quarters_keep_read_only_crease_points_of_fresh_bits(data):
+    # every crease point set a quarter keeps is shared, hence read-only,
+    # and has the bits of a fresh quarter's crease evaluated on that set
+    init = DeformedQuarter.__init__
+    for schedule in (DeformationSchedule.linear(), _DRIFT):
+        quarters = []
+
+        def recorded_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            quarters.append(self)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DeformedQuarter, "__init__", recorded_init)
+            certify(data, schedule, 8, 4, 1e-3, TOLERANCES)
+        assert any(q._points for q in quarters)
+        for q in quarters:
+            fresh = DeformedQuarter(data, q.lam, q.mu, q.scale)
+            for (shape, key), points in q._points.items():
+                assert not points.flags.writeable
+                s = np.frombuffer(key).reshape(shape)
+                assert np.array_equal(points, fresh.crease.point(s))
+
+
 @pytest.mark.parametrize("lam, message", [
     ([1.0, 1.0], "fold parameter 1.0 at t = 1 fails ends-flat, "
                  "margin -1.000e+00"),
