@@ -144,7 +144,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_develop(args) -> int:
     data = _load_data(args.input)
-    reports, dev, psi, rect = verify.development_checks(data, *args.grid)
+    reports, _, dev, psi, rect = verify.development_checks(
+        deformation.DeformedQuarter(data, 0.0), *args.grid)
     artifacts = []
     svg_path = _artifact(args.out, "pattern.svg")
     if svg_path:

@@ -18,6 +18,11 @@ from .quadrature import cumulative_integral, cumulative_integrals  # noqa: F401
 SIGMA_MIN = 1e-6
 
 
+def _rate(z1, k: float) -> np.ndarray:
+    """The crease rate sigma = sqrt(1 - k zeta'^2) from zeta' values z1."""
+    return safe_sqrt(1.0 - k * np.asarray(z1) ** 2)
+
+
 class SpaceCurve:
     """Base class; subclasses set length and analytic_torsion and implement
     point, velocity and acceleration."""
@@ -72,13 +77,12 @@ class ProfileCrease(SpaceCurve):
         self._travel = {}
 
     def sigma(self, s):
-        z1 = np.asarray(self.data.zeta.eval(self._check_domain(s), 1))
-        return safe_sqrt(1.0 - self.k * z1 ** 2)
+        return _rate(self.data.zeta.eval(self._check_domain(s), 1), self.k)
 
-    def _sigma_checked(self, s):
-        sig = self.sigma(s)
+    def _sigma_checked(self, s, z1):
+        sig = _rate(z1, self.k)
         if np.any(~np.isfinite(sig)) or np.any(sig < SIGMA_MIN):
-            arr = np.atleast_1d(np.asarray(s, dtype=float))
+            arr = np.atleast_1d(s)
             bad = arr[np.atleast_1d((~np.isfinite(sig)) | (sig < SIGMA_MIN))]
             raise EndpointSingularity(
                 f"sigma below {SIGMA_MIN} at s = {bad.flat[0]}; "
@@ -105,13 +109,13 @@ class ProfileCrease(SpaceCurve):
     def velocity(self, s):
         s_arr = self._check_domain(s)
         z1 = np.asarray(self.data.zeta.eval(s_arr, 1))
-        return np.stack([self._sigma_checked(s_arr), self.alpha * z1,
+        return np.stack([self._sigma_checked(s_arr, z1), self.alpha * z1,
                          self.lam * z1], axis=-1)
 
     def acceleration(self, s):
         s_arr = self._check_domain(s)
-        sig = self._sigma_checked(s_arr)
         z1 = np.asarray(self.data.zeta.eval(s_arr, 1))
+        sig = self._sigma_checked(s_arr, z1)
         z2 = np.asarray(self.data.zeta.eval(s_arr, 2))
         sig_prime = -self.k * z1 * z2 / sig
         return np.stack([sig_prime, self.alpha * z2, self.lam * z2], axis=-1)
@@ -144,12 +148,11 @@ def integrate_travels(crease_sets) -> None:
     if any(crease.data.zeta is not zeta for crease, _ in todo):
         raise ValueError("creases integrated in one pass must share a profile")
 
-    def rate(s, k):
-        # the crease's sigma, without its domain check: the pass's points
-        # lie in [0, L] already, and zeta.eval checks and clips the same way
-        return safe_sqrt(1.0 - k * np.asarray(zeta.eval(s, 1)) ** 2)
-
-    travels = cumulative_integrals(rate, list(todo.values()), tol=1e-12,
-                                   params=[crease.k for crease, _ in todo])
+    # the integrand is the crease's sigma without its domain check: the
+    # pass's points lie in [0, L] already, and zeta.eval checks and clips
+    # the same way
+    travels = cumulative_integrals(
+        lambda s, k: _rate(zeta.eval(s, 1), k), list(todo.values()),
+        tol=1e-12, params=[crease.k for crease, _ in todo])
     for (crease, key), travel in zip(todo, travels):
         crease._travel[key] = travel

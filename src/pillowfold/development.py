@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .deformation import quarter_domain
-from .errors import DomainError, NonFiniteEvaluation, NonGraph
+from .deformation import DeformedQuarter, assemble_deformed, quarter_domain
+from .errors import NonFiniteEvaluation, NonGraph
 from .mesh import TriMesh
 from .profiles import (FundamentalData, ProfileFunction, ValidationReport,
                        condition_entry, reparametrized, shape_conditions)
@@ -66,38 +66,10 @@ def validate_pattern_conditions(f: ProfileFunction,
     return ValidationReport.of([zero, slope, concave, positive, below])
 
 
-def double_rectangle_mesh(width: float, height: float, n: int) -> TriMesh:
-    """Two coincident flat sheets over [0, width] x [0, height], welded along
-    the common boundary with opposite orientations: a closed genus-0 mesh of
-    zero volume.  Each face is labelled with its column of cells (slab) and
-    its sheet (piece)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    xs = np.linspace(0.0, width, n + 1)
-    ys = np.linspace(0.0, height, n + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    sheet = np.stack([gx, gy, np.zeros_like(gx)], axis=-1).reshape(-1, 3)
-
-    # the second sheet shares the boundary vertices of the first and copies
-    # its interior ones, numbered after it in the same order
-    ids = np.arange(len(sheet)).reshape(n + 1, n + 1)
-    interior = np.zeros(ids.shape, dtype=bool)
-    interior[1:-1, 1:-1] = True
-    ids2 = ids.copy()
-    ids2[interior] = ids.size + np.arange(np.count_nonzero(interior))
-    vertices = np.concatenate([sheet, sheet[interior.ravel()]])
-
-    def corners(v):
-        """Cell (i, j) corners (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)."""
-        return v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
-
-    # The sheets use opposite diagonals; otherwise the two corner cells whose
-    # diagonal endpoints are both boundary vertices would share that edge
-    # between four triangles.
-    a, bb, c, d = corners(ids)
-    a2, b2, c2, d2 = corners(ids2)
-    faces = np.array([[a, bb, c], [a, c, d], [a2, d2, b2], [b2, d2, c2]])
-    labels = np.stack([np.repeat(np.arange(n), 4 * n),
-                       np.tile([0, 0, 1, 1], n * n)], axis=1)
-    return TriMesh(vertices, faces.transpose(2, 3, 0, 1).reshape(-1, 3),
-                   face_labels=labels)
+def double_rectangle_mesh(quarter: DeformedQuarter, n_s: int,
+                          n_v: int) -> TriMesh:
+    """The double rectangle: assemble_deformed's n_s x n_v mesh of the flat
+    quarter DeformedQuarter(data, 0.0), two coincident sheets in z = 0 that
+    close into a zero-volume sphere, the crease a row of each.  A function
+    of its own so that perfbench's tracer times it as a span."""
+    return assemble_deformed(quarter, n_s, n_v)

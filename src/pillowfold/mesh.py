@@ -8,7 +8,7 @@ boundary rows coincide in space but only specific pairs are identified.
 
 The same layout labels each face of an assembled mesh with a slab, the
 column interval of the quad it came from, and a piece, the reflected quarter
-(or flat sheet) it belongs to.  The self-intersection broad phase tests only
+it belongs to.  The self-intersection broad phase tests only
 faces of one slab in different pieces, which loses no hit: x depends on s
 alone, so faces of different slabs meet at most in a shared column plane,
 where their column edges cross in points; and each piece is embedded.

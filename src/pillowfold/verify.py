@@ -259,12 +259,14 @@ def box_checks(folded: pillowbox.QuarterParametrization, n_s: int, n_v: int):
     return reports, topo, box
 
 
-def development_checks(data: FundamentalData, n_s: int, n_v: int):
-    """Checks on the flat state; returns (reports, development, pattern
-    graph, double rectangle).  Grids below 2x2 raise GridTooCoarse, as
-    mesh.assemble_reflected's do."""
+def development_checks(flat: deformation.DeformedQuarter, n_s: int,
+                       n_v: int):
+    """Checks on the flat quarter, DeformedQuarter(data, 0.0), and its n_s x
+    n_v mesh; returns (reports, topology, development, pattern graph, double
+    rectangle).  Grids below 2x2 raise GridTooCoarse before the image check."""
     if n_s < 2 or n_v < 2:
         raise GridTooCoarse("need n_s >= 2 and n_v >= 2")
+    data = flat.data
     reports = []
     dev = development.PlanarDevelopment(data)
     two_a = dev.width
@@ -278,10 +280,10 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int):
                 abs(lo[2]), abs(hi[2]))
     reports.append(CheckReport.bounded(
         "development-image", f"{n_s}x{n_v}", float(worst), (0.0, 0.0), 1e-6))
-    rect = development.double_rectangle_mesh(two_a, 2.0 * data.b,
-                                             max(n_s // 2, 2))
+    rect = development.double_rectangle_mesh(flat, n_s, n_v)
     topo = topology_report(rect)
     ok = topo.closed and topo.euler == 2 and abs(topo.volume) <= 1e-12
+    # the label is not the mesh's grid; it is golden bytes of verify.json
     reports.append(CheckReport(
         "double-rectangle", f"{max(n_s // 2, 2)}", abs(topo.volume),
         (0.0, 0.0), 1e-12, ok))
@@ -291,7 +293,7 @@ def development_checks(data: FundamentalData, n_s: int, n_v: int):
         "pattern-conditions", f"{VALIDATION_SAMPLES}",
         float(min(e["margin"] for e in pat.entries)),
         (0.0, 0.0), 0.0, pat.valid))
-    return reports, dev, psi, rect
+    return reports, topo, dev, psi, rect
 
 
 def _dichotomy_check(folded, s):
@@ -304,7 +306,8 @@ def _dichotomy_check(folded, s):
                                (0.0, 0.0), 1e-8)
 
 
-def _obstruction_checks(data, quarters, folded, box_topo, n_s, n_v, tols):
+def _obstruction_checks(data, quarters, topologies, n_s, n_v, tols):
+    """Depth and topology checks; topologies (quarter: report) are reused."""
     reports = []
     zmax = data.max_height()
     for t in (0.25, 0.5, 0.75):
@@ -318,8 +321,7 @@ def _obstruction_checks(data, quarters, folded, box_topo, n_s, n_v, tols):
             f"depth-formula t={t:g}", "4001", gap, (depth, predicted),
             tols["depth"]))
     for t, want_closed in _TOPOLOGY_STATES.items():
-        # the box is the folded quarter's mesh
-        topo = box_topo if quarters[t] is folded else topology_report(
+        topo = topologies.get(quarters[t]) or topology_report(
             deformation.assemble_deformed(quarters[t], n_s, n_v))
         if want_closed:
             ok = topo.closed and topo.euler == 2 and topo.intersections == 0
@@ -339,9 +341,10 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     to its threshold; eps is the endpoint guard of the interior grids, a
     DomainError if it lets a stencil step past either end of [0, L].  A
     schedule that validate_schedule rejects is a ScheduleViolation naming
-    the first failed entry, before any check runs.  The box is the
-    (lam, mu) = (1, 0) state: its quarter serves the box, the dual-metric
-    strips and every state at (1, 0), which reuses its mesh."""
+    the first failed entry, before any check runs.  The box and the double
+    rectangle mesh the (lam, mu) = (1, 0) and (0, 0) quarters; a state at
+    either reuses that quarter and its mesh, and the folded quarter serves
+    the dual-metric strips too."""
     for e in deformation.validate_schedule(data, schedule).entries:
         if not e["passed"]:
             raise ScheduleViolation(
@@ -349,10 +352,11 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
                 f"{e['name']}, margin {e['margin']:.3e}")
     n_half = max(n_v // 4, 3)
     # One quarter per distinct (lam, mu), whose states' checks share its
-    # crease and travel memo: the folded one first, then the states in the
+    # crease and travel memo: folded and flat first, then the states in the
     # order the checks first use them, so an error names the first checked.
     folded = pillowbox.QuarterParametrization(data)
-    by_state = {(1.0, 0.0): folded}
+    flat = deformation.DeformedQuarter(data, 0.0)
+    by_state = {(1.0, 0.0): folded, (0.0, 0.0): flat}
     quarters = {}
     for t in dict.fromkeys(_ISOMETRY_STATES + _STRUCTURE_STATES):
         key = (schedule.lam(t), schedule.mu(t))
@@ -386,7 +390,7 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
         travel[quarters[t].crease] += [s + h_flat[0], s - h_flat[0]]
     for t in _STRUCTURE_STATES:
         travel[quarters[t].crease].append(np.array([0.0, L]))
-    for quarter in [folded] + [quarters[t] for t in _TOPOLOGY_STATES]:
+    for quarter in [folded, flat] + [quarters[t] for t in _TOPOLOGY_STATES]:
         travel[quarter.crease].append(deformation.grid_columns(L, n_s))
     integrate_travels(travel)
     # A stencil of steps (h_s, h_v) samples each strip through that strip's
@@ -403,10 +407,9 @@ def certify(data: FundamentalData, schedule, n_s: int, n_v: int, eps: float,
     reports += _structure_checks(
         data, {t: quarters[t] for t in _STRUCTURE_STATES}, s, z0, tols)
     box_reports, box_topo, _ = box_checks(folded, n_s, n_v)
-    reports += box_reports
-    reports += development_checks(data, n_s, n_v)[0]
-    reports += _obstruction_checks(data, quarters, folded, box_topo, n_s, n_v,
-                                   tols)
+    flat_reports, flat_topo, *_ = development_checks(flat, n_s, n_v)
+    reports += box_reports + flat_reports + _obstruction_checks(
+        data, quarters, {folded: box_topo, flat: flat_topo}, n_s, n_v, tols)
     reports.append(_dichotomy_check(folded, s))
     return reports
 

@@ -161,7 +161,8 @@ def test_criterion_5_depth_and_topology():
 
 def test_criterion_6_development():
     # developed width 2 ln(1 + sqrt 2), image filling the rectangle, and the
-    # double rectangle as a closed zero-volume sphere
+    # double rectangle, the flat quarter's mesh, as a closed zero-volume
+    # sphere
     tol_width, tol_image = 1e-8, 1e-6
     dev = PlanarDevelopment(DATA)
     width_gap = abs(dev.width - oc.TWO_A)
@@ -171,7 +172,7 @@ def test_criterion_6_development():
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     image_gap = max(abs(lo[0]), abs(hi[0] - oc.TWO_A), abs(lo[1]),
                     abs(hi[1] - 1.0), abs(lo[2]), abs(hi[2]))
-    rect = double_rectangle_mesh(dev.width, 2.0, 16)
+    rect = double_rectangle_mesh(DeformedQuarter(DATA, 0.0), 32, 16)
     topo = topology_report(rect)
     rect_ok = topo.closed and topo.euler == 2 and abs(topo.volume) < 1e-14
     ok = width_gap <= tol_width and image_gap <= tol_image and rect_ok

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pillowfold import curves, quadrature
+from pillowfold import curves, profiles, quadrature
 from pillowfold.curves import ProfileCrease
 from pillowfold.errors import DomainError, EndpointSingularity
 from pillowfold.profiles import FundamentalData, ProfileFunction
@@ -137,6 +137,40 @@ def test_profile_crease_batch_returns_fresh_bits(data, lam):
     assert passes == [len(sets)]
     for arg, pts in zip(sets, got):
         assert np.array_equal(pts, ProfileCrease(data, lam=lam).point(arg))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5])
+def test_profile_crease_guards_and_evaluates_once_per_call(lam, monkeypatch):
+    # velocity and acceleration take sigma from the zeta' they hold: one
+    # domain guard of their own plus one per zeta evaluation, and the bits
+    # of sigma
+    crease = ProfileCrease(FundamentalData.demo(), lam=lam)
+    s = np.linspace(0.05, 1.95, 13)
+    counts = {"guard": 0, "eval": 0}
+    guard, evaluate = profiles.domain_guard, ProfileFunction.eval
+
+    def counted_guard(*args):
+        counts["guard"] += 1
+        return guard(*args)
+
+    def counted_eval(self, *args):
+        counts["eval"] += 1
+        return evaluate(self, *args)
+
+    for module in (profiles, curves):
+        monkeypatch.setattr(module, "domain_guard", counted_guard)
+    monkeypatch.setattr(ProfileFunction, "eval", counted_eval)
+    calls, per_call = {}, []
+    for name in ("sigma", "velocity", "acceleration"):
+        counts.update(guard=0, eval=0)
+        calls[name] = getattr(crease, name)(s)
+        per_call.append((counts["guard"], counts["eval"]))
+    assert per_call == [(2, 1), (2, 1), (3, 2)]
+    sigma = calls["sigma"]
+    assert np.array_equal(calls["velocity"][:, 0], sigma)
+    z1, z2 = (evaluate(crease.data.zeta, s, k) for k in (1, 2))
+    assert np.array_equal(calls["acceleration"][:, 0],
+                          -crease.k * z1 * z2 / sigma)
 
 
 def test_profile_crease_memo_hands_out_copies():

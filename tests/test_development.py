@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from pillowfold.deformation import DeformedQuarter
 from pillowfold.development import (PlanarDevelopment, double_rectangle_mesh,
                                     pattern_graph, validate_pattern_conditions)
-from pillowfold.errors import NonGraph, OutOfDomain
+from pillowfold.errors import GridTooCoarse, NonGraph, OutOfDomain
 from pillowfold.profiles import FundamentalData, ProfileFunction
-from pillowfold.mesh import self_intersection_pairs
+from pillowfold.mesh import _CONTACT_FACTOR, self_intersection_pairs
 from pillowfold.verify import topology_report
 
 import oracles as oc
+from strategies import admissible_data
 
 
 def test_development_width_matches_closed_form():
@@ -96,21 +99,35 @@ def test_validate_pattern_rejects_non_graph():
         validate_pattern_conditions(broken, 1.0)
 
 
-def test_double_rectangle_counts_and_topology():
-    for n in (1, 2, 3, 8):
-        rect = double_rectangle_mesh(oc.TWO_A, 2.0, n)
-        assert rect.n_vertices == 2 * n * n + 2
-        assert rect.n_edges() == 6 * n * n
-        assert rect.n_faces == 4 * n * n
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(admissible_data())
+def test_double_rectangle_counts_and_topology(data):
+    # the flat quarter's mesh on grids from 2x2: two coincident sheets over
+    # [0, 2a] x [0, 2b] in z = 0 that close into a sphere of zero volume
+    flat = DeformedQuarter(data, 0.0)
+    width = 2.0 * data.half_width()
+    for n_s, n_v in ((2, 2), (3, 2), (2, 3), (8, 4)):
+        rect = double_rectangle_mesh(flat, n_s, n_v)
+        assert np.all(rect.vertices[:, 2] == 0.0)
+        lo, hi = rect.vertices.min(axis=0), rect.vertices.max(axis=0)
+        assert np.max(np.abs(lo[:2])) < 1e-12
+        assert abs(hi[0] - width) < 1e-9 * width and hi[1] == 2.0 * data.b
         assert rect.euler_characteristic() == 2
         assert rect.is_closed()
         assert rect.nonmanifold_edge_count() == 0
         assert rect.orientation_consistent()
         topo = topology_report(rect, count_intersections=False)
         assert topo.volume_valid and abs(topo.volume) < 1e-14
+    with pytest.raises(GridTooCoarse):
+        double_rectangle_mesh(flat, 1, 2)
 
 
-def test_double_rectangle_no_spurious_intersections():
-    # coincident coplanar sheets must not count as self-intersections
-    rect = double_rectangle_mesh(oc.TWO_A, 2.0, 4)
-    assert len(self_intersection_pairs(rect)) == 0
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(admissible_data())
+def test_double_rectangle_no_spurious_intersections(data):
+    # coincident coplanar sheets must not count as self-intersections, by
+    # the mesh layer's test and by the brute-force oracle alike
+    for n_s, n_v in ((2, 2), (4, 4)):
+        rect = double_rectangle_mesh(DeformedQuarter(data, 0.0), n_s, n_v)
+        assert self_intersection_pairs(rect) == []
+        assert oc.brute_force_intersections(rect, _CONTACT_FACTOR) == []

@@ -9,8 +9,8 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import pillowfold.mesh as mesh_module
-from pillowfold.deformation import (DeformationSchedule, assemble_deformed,
-                                    deformed_quarter)
+from pillowfold.deformation import (DeformationSchedule, DeformedQuarter,
+                                    assemble_deformed, deformed_quarter)
 from pillowfold.development import double_rectangle_mesh
 from pillowfold.errors import DegenerateTriangle, GridTooCoarse
 from pillowfold.mesh import (_CONTACT_FACTOR, TriMesh, _box_pairs,
@@ -23,6 +23,8 @@ from pillowfold.profiles import FundamentalData, ProfileFunction
 
 import oracles as oc
 from strategies import admissible_data
+
+_FLAT = DeformedQuarter(FundamentalData.demo(), 0.0)
 
 
 def test_trimesh_basics_on_cube():
@@ -458,7 +460,8 @@ def test_near_level_slivers_cross():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_double_rectangle_never_reaches_the_narrow_phase(n):
-    rect = double_rectangle_mesh(oc.TWO_A, 2.0, n)
+    # the demo's flat quarter meshed on every grid from 2x2 to 7x7
+    rect = double_rectangle_mesh(_FLAT, n + 1, n + 1)
     assert _narrow_phase_input(rect) == []
 
 
@@ -501,11 +504,14 @@ def test_level_meshes_skip_the_broad_phase():
 
 
 def test_face_labels_of_the_double_rectangle():
-    rect = double_rectangle_mesh(oc.TWO_A, 2.0, 6)
-    # slab = column of cells, piece = sheet; two triangles per cell and sheet
-    assert rect.face_labels[:8].tolist() == [[0, 0], [0, 0], [0, 1],
-                                             [0, 1]] * 2
-    assert np.bincount(rect.face_labels[:, 0]).tolist() == [24] * 6
+    rect = double_rectangle_mesh(_FLAT, 6, 4)
+    # slab = column of cells, piece = reflected quarter, with the same
+    # faces in each piece; the two end columns have fewer, as the crease
+    # meets the axis there and the upper rows close to a point
+    slabs = np.bincount(rect.face_labels[:, 0])
+    assert slabs[1:-1].tolist() == [32] * 4 and slabs[0] == slabs[-1] < 32
+    pieces = np.bincount(rect.face_labels[:, 1])
+    assert pieces.tolist() == [rect.n_faces // 4] * 4
     moved = TriMesh(rect.vertices + [0.5, -1.0, 2.0], rect.faces,
                     face_labels=rect.face_labels)
     assert np.array_equal(moved.face_labels, rect.face_labels)
@@ -670,7 +676,7 @@ def test_obj_block_edges(k, monkeypatch, tmp_path):
 
 def test_orientation_of_closed_meshes_with_one_flipped_face():
     for mesh in (TriMesh(*oc.unit_cube_mesh()),
-                 double_rectangle_mesh(oc.TWO_A, 2.0, 3),
+                 double_rectangle_mesh(_FLAT, 3, 3),
                  assemble_box(QuarterParametrization(FundamentalData.demo()),
                               8, 4)):
         assert mesh.orientation_consistent()

@@ -17,6 +17,11 @@ Every sampled strip is a generalized cylinder, whose Gaussian curvature
 vanishes for any crease and any constant ruling, so no mutation of the
 crease or the ruling moves flatness: it stays on NO_POWER, the families
 that no mutation here fails by 10x its threshold.
+
+The flat state's double-rectangle check reads the flat quarter's mesh.  Its
+verdict is boolean (closed, Euler characteristic 2, zero volume), so the
+10x rule does not apply: lifting the flat quarter's upper sheet by
+1e-3 max(v, 0) must make it fail.
 """
 
 from __future__ import annotations
@@ -95,3 +100,21 @@ def test_families_no_mutation_fails_are_pinned(monkeypatch):
         worst = _worst(mutation, monkeypatch)
         caught |= {f for f in FAMILIES if worst[f] >= 10.0 * TOLERANCES[f]}
     assert set(FAMILIES) - caught == NO_POWER
+
+
+def test_double_rectangle_rejects_a_lifted_sheet(monkeypatch):
+    # the lift leaves the horizontal end out of z = 0, so the flat mesh
+    # stays open there; the t = 1 state is the same mesh and fails with it
+    X = DeformedQuarter.X
+
+    def lifted(self, s, v):
+        out = X(self, s, v)
+        if (self.lam, self.mu) == (0.0, 0.0):
+            out[..., 2] += 1e-3 * np.maximum(v, 0.0)
+        return out
+
+    monkeypatch.setattr(DeformedQuarter, "X", lifted)
+    reports = certify(FundamentalData.demo(), DeformationSchedule.linear(),
+                      32, 16, 1e-3, TOLERANCES)
+    failed = {r.check for r in reports if not r.passed}
+    assert {"double-rectangle", "topology t=1"} <= failed

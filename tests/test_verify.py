@@ -190,32 +190,47 @@ _DRIFT = DeformationSchedule.from_table([0.0, 0.5, 1.0], [1.0, 0.6, 0.0],
 
 
 @pytest.mark.parametrize("schedule, meshes", [
-    (DeformationSchedule.linear(), 3), (DeformationSchedule.cosine(), 3),
-    (_DRIFT, 4)])
+    (DeformationSchedule.linear(), 3), (DeformationSchedule.cosine(), 4),
+    (_DRIFT, 5)])
 def test_certify_builds_each_state_once(monkeypatch, schedule, meshes):
     # one folded quarter for the box, the dichotomy strip and the t = 0
-    # state, and one per other state: seven quarters.  A drifting t = 0
-    # state is a quarter and a mesh of its own.
-    drifts = meshes - 3
-    counts = {"quarters": 0, "meshes": 0}
+    # state, one flat quarter for the double rectangle and the linear t = 1
+    # state, and one per other state: seven quarters and three meshes under
+    # the linear schedule.  A t = 1 state off (0, 0), as under cosine, and a
+    # drifting t = 0 state are each a quarter and a mesh of their own.
+    counts = {"quarters": 0}
+    built, topologies = [], []
     init = DeformedQuarter.__init__
 
     def counted_init(self, *args, **kwargs):
         counts["quarters"] += 1
         init(self, *args, **kwargs)
 
-    def counted_assembly(*args, **kwargs):
-        counts["meshes"] += 1
-        return assemble_reflected(*args, **kwargs)
+    def counted_assembly(X, *args, **kwargs):
+        mesh = assemble_reflected(X, *args, **kwargs)
+        built.append(((X.__self__.lam, X.__self__.mu), mesh))
+        return mesh
+
+    def recorded_topology(mesh, *args, **kwargs):
+        topologies.append(mesh)
+        return topology_report(mesh, *args, **kwargs)
 
     data = FundamentalData.demo()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DeformedQuarter, "__init__", counted_init)
         for module in (deformation, pillowbox):
             mp.setattr(module, "assemble_reflected", counted_assembly)
+        mp.setattr(verify, "topology_report", recorded_topology)
         reports = certify(data, schedule, 8, 4, 1e-3, TOLERANCES)
-    assert counts == {"quarters": 7 + drifts, "meshes": meshes}
+    assert counts == {"quarters": 4 + meshes} and len(built) == meshes
     assert all(r.passed for r in reports)
+    # each mesh's topology is taken once, and one assemble_reflected call
+    # meshes the flat quarter, the double rectangle; only under the linear
+    # schedule is t = 1 that state, whose topology entry reads that mesh
+    assert sorted(map(id, topologies)) == sorted(id(m) for _, m in built)
+    assert [state for state, _ in built].count((0.0, 0.0)) == 1
+    t1_flat = (schedule.lam(1.0), schedule.mu(1.0)) == (0.0, 0.0)
+    assert t1_flat == (meshes == 3)
     # the t = 0 entry is that of a mesh of its own, reused or not
     topo = topology_report(
         assemble_deformed(deformed_quarter(data, schedule, 0.0), 8, 4))
@@ -247,7 +262,7 @@ def test_certify_pass_gives_each_crease_the_bits_of_its_own(data):
     # certify integrates the sets of every state's crease in one pass; each
     # memo entry has the bits of that crease's sets integrated alone, and
     # of its sigma's cumulative integral over the set
-    for schedule, creases in ((DeformationSchedule.linear(), 7), (_DRIFT, 8)):
+    for schedule, creases in ((DeformationSchedule.linear(), 7), (_DRIFT, 9)):
         passes = []
 
         def recorded(crease_sets):
