@@ -45,10 +45,10 @@ class TriMesh:
     """Vertices (n, 3) float64 and triangles (m, 3) int64, 0-based.
 
     face_labels, where the layout is known, is (m, 2): each face's slab and
-    piece (see above).  The undirected edge table, the face corners, the
-    face normals and the bounding-box diagonal are computed on first use and
-    kept; vertices and faces are not reassigned after construction, so they
-    cannot go stale.
+    piece (see above).  The undirected edge table with the orientation
+    verdict, the face corners, the face normals and the bounding-box
+    diagonal are computed on first use and kept; vertices and faces are not
+    reassigned after construction, so they cannot go stale.
     """
 
     vertices: np.ndarray
@@ -100,25 +100,27 @@ class TriMesh:
             self._corners.flags.writeable = False
         return self._corners
 
-    def _edge_keys(self, undirected: bool) -> np.ndarray:
-        """Each face edge (i, j) as the int64 key i * n_vertices + j, with
-        i < j when undirected."""
-        f = self.faces.T
-        i, j = np.concatenate(f), np.concatenate(f[[1, 2, 0]])
-        if undirected:
-            i, j = np.minimum(i, j), np.maximum(i, j)
-        return i * self.n_vertices + j
-
     def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edges (k, 2), sorted, with the number of incident
-        triangles; read-only arrays computed once per mesh."""
+        triangles; read-only arrays computed once per mesh.
+
+        One sort of the keys 2 (min * n + max) + (i > j) of the face edges
+        (i, j) serves the orientation verdict too: halved, they run over the
+        undirected edges; two equal ones are a directed edge used twice."""
         if self._edge_table is None:
-            keys, counts = np.unique(self._edge_keys(undirected=True),
-                                     return_counts=True)
-            edges = np.stack(np.divmod(keys, self.n_vertices), axis=1)
+            f = self.faces.T
+            i, j = np.concatenate(f), np.concatenate(f[[1, 2, 0]])
+            keys = np.sort(2 * (np.minimum(i, j) * self.n_vertices
+                                + np.maximum(i, j)) + (i > j))
+            undirected = keys >> 1
+            starts = np.flatnonzero(np.diff(undirected, prepend=-1))
+            counts = np.diff(np.append(starts, len(keys)))
+            edges = np.stack(np.divmod(undirected[starts], self.n_vertices),
+                             axis=1)
             edges.flags.writeable = counts.flags.writeable = False
-            self._edge_table = (edges, counts)
-        return self._edge_table
+            self._edge_table = (edges, counts,
+                                not np.any(keys[1:] == keys[:-1]))
+        return self._edge_table[:2]
 
     @property
     def _edge_counts(self) -> np.ndarray:
@@ -142,9 +144,11 @@ class TriMesh:
         return self.n_vertices - self.n_edges() + self.n_faces
 
     def orientation_consistent(self) -> bool:
-        """True when no directed edge is traversed twice in the same sense."""
-        keys = np.sort(self._edge_keys(undirected=False))
-        return not np.any(keys[1:] == keys[:-1])
+        """True when no directed edge is traversed twice in the same sense;
+        read from the edge table's sort."""
+        if self._edge_table is None:
+            self.edges_with_counts()
+        return self._edge_table[2]
 
     def signed_volume(self) -> float:
         """Sum of det(p0, p1, p2) / 6 over the triangles: the enclosed volume
@@ -236,8 +240,8 @@ def sample_quarter(X, s_values: np.ndarray, heights: np.ndarray, b: float,
 # ---------------------------------------------------------------------------
 
 # Piece k of the box is the quarter with its coordinates multiplied by
-# _PIECE_SIGNS[k], and y moved up by 2b where it flips: piece 1 is the rho_V
-# image, piece 2 the rho_H image, piece 3 both.
+# _PIECE_SIGNS[k], and y moved up by 2b where it flips: its bit k & 1 applies
+# rho_V, k & 2 applies rho_H, so piece 3 is the image under both.
 _PIECE_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
                          [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
 
@@ -284,38 +288,35 @@ def assemble_reflected(X, s_values, b: float, n_v: int) -> TriMesh:
     diag = float(np.linalg.norm(all_verts.max(axis=0) - all_verts.min(axis=0)))
     tol = _WELD_TOL_FACTOR * diag
 
-    # correspondence: (quarter boundary ids, piece pairs it joins, required)
+    # correspondence: (quarter ids, the bit of the pieces k, k ^ bit it
+    # joins, required); the other reflection flips a sign exactly, so each
+    # id's gap is the same for every k and is taken between pieces 0 and bit
     correspondences = {
-        "vertical_end": (idx[0], [[0, 1], [2, 3]], True),
-        "endpoint_columns": (idx[:, [0, -1]].T, [[0, 2], [1, 3]], True),
-        "horizontal_end": (idx[-1], [[0, 2], [1, 3]], False),
+        "vertical_end": (idx[0], 1, True),
+        "endpoint_columns": (idx[:, [0, -1]].ravel(), 2, True),
+        "horizontal_end": (idx[-1], 2, False),
     }
-    report, worst_gap, welds = {}, {}, []
-    for name, (ids, piece_pairs, required) in correspondences.items():
-        ga, gb = (ids.ravel() + n_local * np.array(piece_pairs).T[..., None]
-                  ).reshape(2, -1)
-        gap = np.linalg.norm(all_verts[ga] - all_verts[gb], axis=1)
+    report, worst_gap = {}, {}
+    bits = np.zeros(n_local, dtype=np.int64)
+    for name, (ids, bit, required) in correspondences.items():
+        gap = np.linalg.norm(pieces[0, ids] - pieces[bit, ids], axis=1)
         worst = worst_gap[name] = float(gap.max())
         if worst > tol and required:
             raise WeldFailure(f"{name.replace('_', ' ')} correspondence off by "
                               f"{worst:.3e} > tol {tol:.3e}")
         report[name] = "welded" if worst <= tol else "open"
-        welds.append(np.stack([ga, gb])[:, gap <= tol])
+        bits[ids[gap <= tol]] |= bit
     report.update(tol=tol, worst_gap=worst_gap)
-    ga, gb = np.concatenate(welds, axis=1)
 
-    # each welded vertex takes the smallest index in its weld class
-    label = np.arange(len(all_verts))
-    while True:
-        before = label.copy()
-        np.minimum.at(label, ga, label[gb])
-        np.minimum.at(label, gb, label[ga])
-        if np.array_equal(label, before):
-            break
-    roots, new_ids = np.unique(label, return_inverse=True)
+    # copy k of quarter id q is welded to copies k ^ m, m within bits[q]:
+    # its class's smallest index is copy k & ~bits[q]; roots keep their order
+    label = (np.arange(n_local) + n_local * (np.arange(4)[:, None] & ~bits)
+             ).ravel()
+    root = label == np.arange(len(label))
+    new_ids = np.cumsum(root) - 1
     labels = np.c_[np.tile(slabs, 4), np.arange(4).repeat(len(slabs))]
-    mesh = TriMesh(all_verts[roots], new_ids[all_faces], weld_report=report,
-                   face_labels=labels)
+    mesh = TriMesh(all_verts[root], new_ids[label][all_faces],
+                   weld_report=report, face_labels=labels)
     report["boundary_edge_count"] = mesh.boundary_edge_count()
     return mesh
 

@@ -10,6 +10,9 @@ would be hopeless.
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,6 +167,8 @@ class ProfileFunction:
     @classmethod
     def polynomial(cls, coeffs, length: float) -> "ProfileFunction":
         """Polynomial in s with coefficients low order first."""
+        if np.ndim(coeffs) != 1 or not np.size(coeffs):
+            raise DomainError("need a list of at least one coefficient")
         poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
         derivs = (poly, poly.deriv(1), poly.deriv(2))
 
@@ -180,6 +185,8 @@ class ProfileFunction:
         values = np.asarray(values, dtype=float)
         if s_knots.ndim != 1 or s_knots.size < 4 or s_knots.shape != values.shape:
             raise DomainError("need >= 4 matching knots and values")
+        if not np.all(np.isfinite([s_knots, values])):
+            raise DomainError("knots and values must be finite")
         if np.any(np.diff(s_knots) <= 0):
             raise NonMonotone("knot abscissae must be strictly increasing")
         if s_knots[0] != 0.0:
@@ -205,16 +212,47 @@ class ProfileFunction:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "ProfileFunction":
+        """The profile a descriptor names.  A missing key or kind is an
+        IoError; a value that is not a finite number, or not a list of
+        them where a list is due, is a DomainError."""
+        if not isinstance(desc, dict):
+            raise IoError("profile descriptor must be a JSON object")
         kind = desc.get("kind")
         if kind == "hyperbolic":
-            return cls.hyperbolic(desc.get("length", 2.0), desc.get("width", 1.0))
+            return cls.hyperbolic(_number(desc, "length", 2.0),
+                                  _number(desc, "width", 1.0))
         if kind == "circular":
-            return cls.circular(desc["length"], desc["radius"])
+            return cls.circular(_number(desc, "length"),
+                                _number(desc, "radius"))
         if kind == "poly":
-            return cls.polynomial(desc["coeffs"], desc["length"])
+            return cls.polynomial(_number(desc, "coeffs", listed=True),
+                                  _number(desc, "length"))
         if kind == "table":
-            return cls.tabulated(desc["s"], desc["values"])
+            return cls.tabulated(_number(desc, "s", listed=True),
+                                 _number(desc, "values", listed=True))
         raise IoError(f"unknown profile kind {kind!r}")
+
+
+def _is_finite_number(x) -> bool:
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _number(desc: dict, key: str, default=None, listed: bool = False):
+    """desc[key], a finite number or, listed, a list of them, passed on as
+    it is; default when the key is missing and there is one.  A missing key
+    is an IoError, a value of another form a DomainError."""
+    if key not in desc:
+        if default is None:
+            raise IoError(f"{desc.get('kind')} profile lacks {key!r}")
+        return default
+    value = desc[key]
+    items = value if listed else [value]
+    if not (isinstance(items, (list, tuple))
+            and all(map(_is_finite_number, items))):
+        form = "a list of finite numbers" if listed else "a finite number"
+        raise DomainError(f"{key!r} must be {form}, got {reprlib.repr(value)}")
+    return value
 
 
 @dataclass
@@ -248,9 +286,10 @@ class FundamentalData:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "FundamentalData":
-        if "b" not in desc or "zeta" not in desc:
+        if not isinstance(desc, dict) or "b" not in desc or "zeta" not in desc:
             raise IoError("descriptor needs keys 'b' and 'zeta'")
-        return cls(float(desc["b"]), ProfileFunction.from_descriptor(desc["zeta"]))
+        return cls(float(_number(desc, "b")),
+                   ProfileFunction.from_descriptor(desc["zeta"]))
 
     @classmethod
     def demo(cls) -> "FundamentalData":

@@ -105,6 +105,45 @@ def test_missing_input_file_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "IoError"
 
 
+# fundamental data that does not parse: a missing key is an IoError, a value
+# that is not a finite number (or list of them) a DomainError; exit 1 would
+# mean a failed check
+MALFORMED_DATA = {
+    "circular-without-radius": (
+        {"b": 1.0, "zeta": {"kind": "circular", "length": 2.0}}, "IoError"),
+    "table-with-nan": (
+        {"b": 1.0, "zeta": {"kind": "table", "s": [0.0, 0.5, 1.0, 1.5, 2.0],
+                            "values": [0.0, 0.2, float("nan"), 0.2, 0.0]}},
+        "DomainError"),
+    "b-a-word": ({"b": "x", "zeta": {"kind": "hyperbolic"}}, "DomainError"),
+    "poly-coeff-a-word": (
+        {"b": 1.0, "zeta": {"kind": "poly", "coeffs": ["a"], "length": 2.0}},
+        "DomainError"),
+    "hyperbolic-length-a-string": (
+        {"b": 1.0, "zeta": {"kind": "hyperbolic", "length": "2"}},
+        "DomainError"),
+    "poly-coeffs-a-number": (
+        {"b": 1.0, "zeta": {"kind": "poly", "coeffs": 3.0, "length": 2.0}},
+        "DomainError"),
+    "poly-coeffs-empty": (
+        {"b": 1.0, "zeta": {"kind": "poly", "coeffs": [], "length": 2.0}},
+        "DomainError"),
+    "zeta-a-number": ({"b": 1.0, "zeta": 3}, "IoError"),
+    "data-a-number": (3, "IoError"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DATA)
+def test_malformed_fundamental_data_exits_2(name, capsys, tmp_path):
+    document, error = MALFORMED_DATA[name]
+    path = tmp_path / "data.json"
+    # json writes a NaN as the NaN literal that Python's reader accepts
+    path.write_text(json.dumps(document))
+    rc, payload, err = run_cli(capsys, "validate", "--input", str(path))
+    assert rc == 2 and payload is None
+    assert json.loads(err)["error"] == error
+
+
 def test_build_writes_closed_box(capsys, tmp_path):
     out = tmp_path / "out"
     rc, payload, _ = run_cli(capsys, "build", "--grid", "24x12",

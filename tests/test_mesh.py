@@ -555,6 +555,30 @@ def test_assembly_of_admissible_boxes(data, t):
         assert statuses == {k: mesh.weld_report[k] for k in _CORRESPONDENCES}
 
 
+_LINEAR = DeformationSchedule.linear()
+
+
+@pytest.mark.parametrize("quarter, n_s, n_v, boundary_edges", [
+    # the horizontal end is open, yet its pairs within tol of z = 0, near
+    # the grid's ends, weld: 160 boundary edges, against 192 where none do
+    (deformed_quarter(FundamentalData.demo(), _LINEAR, 1e-5), 48, 24, 160),
+    (deformed_quarter(FundamentalData.demo(), _LINEAR, 0.5), 48, 24, 192),
+    # every pair within tol (worst gap 1.7e-6 < tol 2.7e-6), none exact
+    (deformed_quarter(FundamentalData.demo(), _LINEAR, 1.0 - 2e-6), 48, 24,
+     0),
+    (_FLAT, 2, 2, 0), (_FLAT, 3, 2, 0), (_FLAT, 7, 5, 0),
+], ids=["t=1e-5", "t=0.5", "t=1-2e-6", "flat-2x2", "flat-3x2", "flat-7x5"])
+def test_partial_and_coarse_welds_match_the_loop_oracle(quarter, n_s, n_v,
+                                                        boundary_edges):
+    mesh = assemble_deformed(quarter, n_s, n_v)
+    vertices, faces, statuses = oc.loop_assembly(quarter.X, quarter.data,
+                                                 n_s, n_v)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.faces, faces)
+    assert statuses == {k: mesh.weld_report[k] for k in _CORRESPONDENCES}
+    assert mesh.weld_report["boundary_edge_count"] == boundary_edges
+
+
 def test_obj_round_trip(tmp_path):
     box = assemble_box(QuarterParametrization(FundamentalData.demo()), 12,
                        6)

@@ -22,6 +22,14 @@ The flat state's double-rectangle check reads the flat quarter's mesh.  Its
 verdict is boolean (closed, Euler characteristic 2, zero volume), so the
 10x rule does not apply: lifting the flat quarter's upper sheet by
 1e-3 max(v, 0) must make it fail.
+
+The box's box-closed and box-volume-bounds checks read the welded box mesh,
+and are mutated through it.  Their verdicts are boolean too (closed with
+Euler characteristic 2; closed, consistently oriented and a volume inside
+its bound), so the 10x rule does not apply either: dropping one face must
+fail box-closed, and reversing one piece's faces, which leaves the box
+closed and its volume inside the bound, must fail box-volume-bounds on
+the orientation verdict alone.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pillowfold import pillowbox
 from pillowfold.deformation import DeformationSchedule, DeformedQuarter
+from pillowfold.mesh import TriMesh
 from pillowfold.profiles import FundamentalData
 from pillowfold.verify import TOLERANCES, certify
 
@@ -118,3 +128,37 @@ def test_double_rectangle_rejects_a_lifted_sheet(monkeypatch):
                       32, 16, 1e-3, TOLERANCES)
     failed = {r.check for r in reports if not r.passed}
     assert {"double-rectangle", "topology t=1"} <= failed
+
+
+def _box_failures(mutation, monkeypatch):
+    """The checks certify fails on the demo at 32x16 when the welded box
+    mesh is replaced by mutation(box)."""
+    assemble = pillowbox.assemble_box
+
+    def mutated(quarter, n_s, n_v):
+        return mutation(assemble(quarter, n_s, n_v))
+
+    monkeypatch.setattr(pillowbox, "assemble_box", mutated)
+    reports = certify(FundamentalData.demo(), DeformationSchedule.linear(),
+                      32, 16, 1e-3, TOLERANCES)
+    return {r.check for r in reports if not r.passed}
+
+
+def test_box_closed_rejects_a_dropped_face(monkeypatch):
+    def dropped(box):
+        return TriMesh(box.vertices, box.faces[1:],
+                       face_labels=box.face_labels[1:])
+    assert "box-closed" in _box_failures(dropped, monkeypatch)
+
+
+def test_box_volume_bounds_rejects_a_reversed_piece(monkeypatch):
+    def reversed_piece(box):
+        faces = box.faces.copy()
+        last = box.face_labels[:, 1] == 3
+        faces[last] = faces[last][:, [0, 2, 1]]
+        mutant = TriMesh(box.vertices, faces, face_labels=box.face_labels)
+        assert mutant.is_closed() and mutant.euler_characteristic() == 2
+        assert not mutant.orientation_consistent()
+        return mutant
+    failed = _box_failures(reversed_piece, monkeypatch)
+    assert "box-volume-bounds" in failed and "box-closed" not in failed
